@@ -218,6 +218,11 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _draw(key: int, index: int) -> int:
+    # key is _mix64(seed); _mix64 reduces its argument mod 2**64
+    return _mix64(key + (index + 1) * _GOLDEN)
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit value for the index-th draw keyed by ``seed``.
 
@@ -225,7 +230,7 @@ def derive_seed(seed: int, index: int) -> int:
     counter), so draws are independent of call order and identical across
     platforms and Python versions.
     """
-    return _mix64((_mix64(seed) + ((index + 1) * _GOLDEN & _M64)) & _M64)
+    return _draw(_mix64(seed), index)
 
 
 def random_tournament(order: int, seed: int) -> Tournament:
@@ -237,10 +242,11 @@ def random_tournament(order: int, seed: int) -> Tournament:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
     beats = [0] * order
+    key = _mix64(seed)
     k = 0
     for i in range(order):
         for j in range(i + 1, order):
-            if derive_seed(seed, k) >> 63:
+            if _draw(key, k) >> 63:
                 beats[i] |= 1 << j
             else:
                 beats[j] |= 1 << i

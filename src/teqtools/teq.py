@@ -2,14 +2,13 @@
 
 TEQ(T) is the union of all inclusion-minimal TEQ-retentive sets of T, where a
 nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
-x in S that has dominators. The computation builds the relation graph with an
-edge x -> y whenever y is in TEQ(dominators(x)); the minimal retentive sets
-are exactly the terminal strongly connected components of that graph, so the
-recursion only ever descends into dominator subsets (which never contain x).
-
-A memo table keyed by subset bitmask makes repeated dominator subsets cheap;
-``teq_bruteforce`` is an independent oracle that transcribes the definition
-literally (subset enumeration, no SCC shortcut).
+x in S that has dominators. These sets all lie in the top cycle of T (its
+least nonempty subset that dominates every alternative outside it) and are
+exactly the terminal SCCs of the relation graph x -> TEQ(dominators(x)) on
+the top cycle, found by comparing bitset reach-sets. So the recursion only
+descends into dominator subsets of top-cycle members, memoised by subset
+bitmask. ``teq_bruteforce`` is an independent oracle that transcribes the
+definition literally (subset enumeration, no SCC shortcut).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import AltSet, Tournament, full_set, iter_members, members
+from .core import AltSet, Tournament, full_set, iter_members
 
 BRUTEFORCE_MAX_ORDER = 12
 
@@ -56,65 +55,27 @@ class RelationGraph:
 def _terminal_scc_masks(succ: dict[int, AltSet]) -> list[AltSet]:
     """Terminal SCCs (no outgoing edges) of the graph, as bitmasks.
 
-    Iterative Tarjan; succ must have a key for every vertex. Output sorted by
-    smallest member.
+    Computes each vertex's reach-set (itself plus everything reachable) by
+    frontier closure, taking a finished reach-set whole. A vertex lies in a
+    terminal SCC iff every member of its reach-set has that same reach-set,
+    which is then the component. succ must have a key for every vertex.
+    Output sorted by smallest member.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    sccs: list[AltSet] = []
-    counter = 0
-
-    for root in succ:
-        if root in index:
-            continue
-        work = [(root, members(succ[root]), 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, targets, i = work.pop()
-            advanced = False
-            while i < len(targets):
-                w = targets[i]
-                i += 1
-                if w not in index:
-                    work.append((v, targets, i))
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, members(succ[w]), 0))
-                    advanced = True
-                    break
-                if w in on_stack and index[w] < low[v]:
-                    low[v] = index[w]
-            if not advanced:
-                if low[v] == index[v]:
-                    comp = 0
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp |= 1 << w
-                        if w == v:
-                            break
-                    sccs.append(comp)
-                if work:
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
-
-    out = []
-    for comp in sccs:
-        reachable = 0
-        for v in iter_members(comp):
-            reachable |= succ[v]
-        if reachable & ~comp == 0:
-            out.append(comp)
-    out.sort(key=lambda m: m & -m)
-    return out
+    reach: dict[int, AltSet] = {}
+    groups: dict[AltSet, AltSet] = {}  # reach-set -> the vertices that have it
+    for v in succ:
+        seen = closed = 0
+        todo = 1 << v
+        while todo:
+            low = todo & -todo
+            w = low.bit_length() - 1
+            done = reach.get(w, low)
+            seen |= done | succ[w]
+            closed |= done
+            todo = seen & ~closed
+        reach[v] = seen
+        groups[seen] = groups.get(seen, 0) | 1 << v
+    return sorted((r for r, g in groups.items() if g == r), key=lambda m: m & -m)
 
 
 def terminal_sccs(g: RelationGraph) -> list[AltSet]:
@@ -125,8 +86,51 @@ def terminal_sccs(g: RelationGraph) -> list[AltSet]:
     return _terminal_scc_masks(g.successors)
 
 
+def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
+    """Top cycle of ``subset``: its least nonempty part that dominates the rest.
+
+    A member with the fewest dominators lies in it, and the top cycle is that
+    member plus everything that reaches it along dominance edges.
+    """
+    best = subset & -subset
+    fewest = dom_of[best.bit_length() - 1] & subset
+    rest = subset ^ best
+    while rest and fewest:
+        low = rest & -rest
+        d = dom_of[low.bit_length() - 1] & subset
+        if d.bit_count() < fewest.bit_count():
+            best, fewest = low, d
+        rest ^= low
+    top, todo = best | fewest, fewest
+    while todo:
+        low = todo & -todo
+        new = dom_of[low.bit_length() - 1] & subset & ~top
+        top |= new
+        todo = (todo ^ low) | new
+    return top
+
+
+def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: AltSet,
+                  deadline: float | None) -> list[AltSet]:
+    """Minimal retentive sets of a top cycle, ordered by smallest member.
+
+    They are the terminal SCCs of the relation graph x -> TEQ(dominators of x)
+    on ``top``, which holds every dominator of its members. A top cycle of at
+    most three members (a Condorcet winner or a 3-cycle) is the only one.
+    """
+    if top.bit_count() <= 3:
+        return [top]
+    return _terminal_scc_masks({v: _teq_rec(dom_of, table, dom_of[v] & top, deadline)
+                                for v in iter_members(top)})
+
+
 def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
              deadline: float | None) -> AltSet:
+    """TEQ of ``subset``, memoised in ``table``.
+
+    TEQ lies inside the top cycle, so only the top cycle is searched and its
+    memo entry is shared by every subset with the same top cycle.
+    """
     cached = table.get(subset)
     if cached is not None:
         return cached
@@ -135,17 +139,11 @@ def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: Al
         return subset
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
-    succ: dict[int, AltSet] = {}
-    rest = subset
-    while rest:
-        lowbit = rest & -rest
-        v = lowbit.bit_length() - 1
-        rest ^= lowbit
-        d = dom_of[v] & subset
-        succ[v] = _teq_rec(dom_of, table, d, deadline) if d else 0
-    result = 0
-    for comp in _terminal_scc_masks(succ):
-        result |= comp
+    top = _top_cycle(dom_of, subset)
+    result = table.get(top)
+    if result is None:
+        # the minimal sets are pairwise disjoint, so their sum is their union
+        result = table[top] = sum(_minimal_sets(dom_of, table, top, deadline))
     table[subset] = result
     return result
 
@@ -214,13 +212,15 @@ def is_retentive(cache: TeqCache, x_set: AltSet) -> bool:
 def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list[AltSet]:
     """All inclusion-minimal TEQ-retentive sets of t, ordered by smallest member.
 
-    These are the terminal SCCs of the relation graph over the full universe;
+    These are the terminal SCCs of the relation graph on the top cycle of t;
     they are pairwise disjoint and their union is teq(t).
     """
     if cache is None:
         cache = TeqCache(t)
-    g = relation_graph(cache)
-    return _terminal_scc_masks(g.successors)
+    if cache.deadline is not None and time.monotonic() >= cache.deadline:
+        raise DeadlineExceeded
+    top = _top_cycle(t.dom_of, full_set(t.order))
+    return _minimal_sets(t.dom_of, cache.table, top, cache.deadline)
 
 
 def bruteforce_minimal_retentive_sets(t: Tournament) -> list[AltSet]:

@@ -223,6 +223,26 @@ class TestRandomTournament:
         values = {derive_seed(123, k) for k in range(1000)}
         assert len(values) == 1000
 
+    def test_derive_seed_zero_is_splitmix64(self):
+        # the first output of the reference splitmix64 generator seeded with 0
+        assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed", [0, 1, 2013, 2**63 + 5, 2**64 - 1])
+    def test_matches_documented_definition(self, seed):
+        for order in range(1, 25):
+            pairs = itertools.combinations(range(order), 2)
+            beats = [0] * order
+            for k, (i, j) in enumerate(pairs):
+                if derive_seed(seed, k) >> 63:
+                    beats[i] |= 1 << j
+                else:
+                    beats[j] |= 1 << i
+            assert random_tournament(order, seed).beats == tuple(beats)
+
+    def test_pinned_order_eight(self):
+        expected = "8\n00100001\n10111010\n00011101\n10001100\n10000110\n11000010\n10110000\n01011110\n"
+        assert serialize(random_tournament(8, 2013)) == expected
+
 
 class TestParseSerialize:
     def test_parse_transitive(self):

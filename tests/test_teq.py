@@ -32,6 +32,38 @@ from conftest import all_tournaments, cycle_tournament, transitive_tournament
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
+def reach_sets(edges, verts):
+    """v -> v plus everything reachable from v along edges[v], by plain search."""
+    reach = {}
+    for v in verts:
+        seen, stack = {v}, [v]
+        while stack:
+            for w in members(edges[stack.pop()]):
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach[v] = altset(seen)
+    return reach
+
+
+def top_cycle(t, subset):
+    """Members of subset that reach every member of subset by dominance inside it."""
+    verts = members(subset)
+    reach = reach_sets({v: t.beats[v] & subset for v in verts}, verts)
+    return altset(v for v in verts if reach[v] == subset)
+
+
+def dominant_cycle_tournament(top_order, rest_order):
+    """A rotational cycle on 0..top_order-1 that beats a transitive rest; the cycle is the top cycle."""
+    n = top_order + rest_order
+    beats = list(cycle_tournament(top_order).beats) + [0] * rest_order
+    for v in range(top_order):
+        beats[v] |= full_set(n) ^ full_set(top_order)
+    for v in range(top_order, n):
+        beats[v] |= altset(range(v + 1, n))
+    return Tournament(beats)
+
+
 def condorcet_tournament(order, seed):
     """Random tournament where 0 dominates everyone else."""
     t = random_tournament(order, seed)
@@ -182,6 +214,26 @@ class TestTeqOfSubset:
             assert value & ~key == 0
 
 
+class TestTopCyclePruning:
+    """TEQ lies inside the top cycle, which the recursion relies on to prune."""
+
+    @given(seed=seeds, order=st.integers(2, 12), raw=st.integers(min_value=1))
+    @settings(max_examples=120, deadline=None)
+    def test_teq_inside_top_cycle_and_equal_to_its_teq(self, seed, order, raw):
+        t = random_tournament(order, seed)
+        subset = raw % (1 << order) or 1
+        top = top_cycle(t, subset)
+        result = teq_of_subset(TeqCache(t), subset)
+        assert result & ~top == 0
+        assert result == teq_of_subset(TeqCache(t), top)
+
+    def test_dominant_cycle(self):
+        t = dominant_cycle_tournament(5, 4)
+        assert top_cycle(t, full_set(9)) == full_set(5)
+        assert teq(t) == full_set(5)
+        assert minimal_retentive_sets(t) == [full_set(5)]
+
+
 class TestIsRetentive:
     def test_full_set_always(self):
         for seed in range(10):
@@ -278,6 +330,22 @@ class TestTerminalSccs:
         g = RelationGraph(universe=0b111, successors={0: 0, 1: 0, 2: 0})
         assert terminal_sccs(g) == [0b001, 0b010, 0b100]
 
+    @given(order=st.integers(1, 8), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_digraphs_against_closure(self, order, data):
+        verts = data.draw(st.lists(st.integers(0, 9), min_size=order, max_size=order, unique=True))
+        universe = altset(verts)
+        succ = {v: data.draw(st.integers(0, universe)) & universe & ~(1 << v) for v in verts}
+        reach = reach_sets(succ, verts)
+        expected = []
+        for v in sorted(verts):
+            # v's component is what v reaches and reaches v; it is terminal iff
+            # nothing it reaches lies outside it
+            comp = altset(w for w in members(reach[v]) if (reach[w] >> v) & 1)
+            if reach[v] == comp and comp not in expected:
+                expected.append(comp)
+        assert terminal_sccs(RelationGraph(universe=universe, successors=succ)) == expected
+
     def test_rejects_escaping_successors(self):
         g = RelationGraph(universe=0b011, successors={0: 0b100, 1: 0})
         with pytest.raises(ValueError):
@@ -289,6 +357,20 @@ class TestDeadline:
         cache = TeqCache(big_t, deadline=time.monotonic() - 1)
         with pytest.raises(DeadlineExceeded):
             teq_of_subset(cache, full_set(24))
+
+    def test_expired_deadline_raises_with_condorcet_winner(self):
+        t = transitive_tournament(5)
+        with pytest.raises(DeadlineExceeded):
+            teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(5))
+        with pytest.raises(DeadlineExceeded):
+            minimal_retentive_sets(t, TeqCache(t, deadline=time.monotonic() - 1))
+
+    def test_expired_deadline_raises_with_proper_top_cycle(self):
+        t = dominant_cycle_tournament(3, 3)
+        with pytest.raises(DeadlineExceeded):
+            teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(6))
+        with pytest.raises(DeadlineExceeded):
+            minimal_retentive_sets(t, TeqCache(t, deadline=time.monotonic() - 1))
 
     def test_unset_deadline_is_unlimited(self, big_t):
         assert teq_of_subset(TeqCache(big_t, deadline=None), full_set(24))
