@@ -5,10 +5,13 @@ nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
 x in S that has dominators. These sets all lie in the top cycle of T (its
 least nonempty subset that dominates every alternative outside it) and are
 exactly the terminal SCCs of the relation graph x -> TEQ(dominators(x)) on
-the top cycle, found by comparing bitset reach-sets. So the recursion only
-descends into dominator subsets of top-cycle members, memoised by subset
-bitmask. ``teq_bruteforce`` is an independent oracle that transcribes the
-definition literally (subset enumeration, no SCC shortcut).
+the top cycle, found by comparing bitset reach-sets. TEQ also lies in the
+uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is inside
+the uncovered set), so a covered top-cycle member is in no terminal SCC.
+The recursion therefore only descends into dominator subsets of uncovered
+top-cycle members, memoised by subset bitmask. ``teq_bruteforce`` is an
+independent oracle that transcribes the definition literally (subset
+enumeration, no SCC shortcut, no covering argument).
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import AltSet, Tournament, full_set, iter_members
+from .core import AltSet, Tournament, altset, full_set, iter_members
 
 BRUTEFORCE_MAX_ORDER = 12
 
@@ -52,21 +55,25 @@ class RelationGraph:
     successors: dict[int, AltSet]
 
 
-def _terminal_scc_masks(succ: dict[int, AltSet]) -> list[AltSet]:
-    """Terminal SCCs (no outgoing edges) of the graph, as bitmasks.
+def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[AltSet]:
+    """Terminal SCCs (no outgoing edges) of the graph that lie in ``candidates``.
 
-    Computes each vertex's reach-set (itself plus everything reachable) by
+    Computes each candidate's reach-set (itself plus everything reachable) by
     frontier closure, taking a finished reach-set whole. A vertex lies in a
     terminal SCC iff every member of its reach-set has that same reach-set,
-    which is then the component. succ must have a key for every vertex.
-    Output sorted by smallest member.
+    which is then the component. ``succ`` has a key for every candidate.
+    Closure stops at the first non-candidate reached: a terminal SCC holds
+    everything its members reach, so a reach-set holding a non-candidate
+    never equals its group of candidates and no vertex that reaches one is
+    reported. Output sorted by smallest member.
     """
+    outside = ~candidates
     reach: dict[int, AltSet] = {}
     groups: dict[AltSet, AltSet] = {}  # reach-set -> the vertices that have it
-    for v in succ:
+    for v in iter_members(candidates):
         seen = closed = 0
         todo = 1 << v
-        while todo:
+        while todo and not seen & outside:
             low = todo & -todo
             w = low.bit_length() - 1
             done = reach.get(w, low)
@@ -80,10 +87,12 @@ def _terminal_scc_masks(succ: dict[int, AltSet]) -> list[AltSet]:
 
 def terminal_sccs(g: RelationGraph) -> list[AltSet]:
     """Terminal SCCs of a relation graph, ordered by smallest vertex."""
+    if altset(g.successors) != g.universe:
+        raise ValueError("successors need a key for every member of the universe and no other")
     for v, s in g.successors.items():
         if s & ~g.universe or (s >> v) & 1:
             raise ValueError(f"successors of {v} leave the universe or contain {v}")
-    return _terminal_scc_masks(g.successors)
+    return _terminal_scc_masks(g.successors, g.universe)
 
 
 def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
@@ -110,22 +119,38 @@ def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
     return top
 
 
-def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: AltSet,
-                  deadline: float | None) -> list[AltSet]:
+def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
+                  table: dict[AltSet, AltSet], top: AltSet, deadline: float | None) -> list[AltSet]:
     """Minimal retentive sets of a top cycle, ordered by smallest member.
 
     They are the terminal SCCs of the relation graph x -> TEQ(dominators of x)
     on ``top``, which holds every dominator of its members. A top cycle of at
     most three members (a Condorcet winner or a 3-cycle) is the only one.
+    Otherwise successors are built only for the uncovered members: v is
+    covered when a member y beats v and everything v beats in ``top``. TEQ
+    lies in the uncovered set (Schwartz 1990), so a covered member is in no
+    terminal SCC, and neither is any member that reaches one.
     """
     if top.bit_count() <= 3:
         return [top]
-    return _terminal_scc_masks({v: _teq_rec(dom_of, table, dom_of[v] & top, deadline)
-                                for v in iter_members(top)})
+    succ = {}
+    uncovered = 0
+    for v in iter_members(top):
+        # covers ends as the members of top that beat v and all that v beats
+        dom = covers = dom_of[v] & top
+        rest = beats[v] & top
+        while rest and covers:
+            low = rest & -rest
+            covers &= dom_of[low.bit_length() - 1]
+            rest ^= low
+        if not covers:
+            succ[v] = _teq_rec(dom_of, beats, table, dom, deadline)
+            uncovered |= 1 << v
+    return _terminal_scc_masks(succ, uncovered)
 
 
-def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
-             deadline: float | None) -> AltSet:
+def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[AltSet, AltSet],
+             subset: AltSet, deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
     TEQ lies inside the top cycle, so only the top cycle is searched and its
@@ -143,7 +168,7 @@ def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: Al
     result = table.get(top)
     if result is None:
         # the minimal sets are pairwise disjoint, so their sum is their union
-        result = table[top] = sum(_minimal_sets(dom_of, table, top, deadline))
+        result = table[top] = sum(_minimal_sets(dom_of, beats, table, top, deadline))
     table[subset] = result
     return result
 
@@ -163,7 +188,8 @@ def teq_of_subset(cache: TeqCache, subset: AltSet) -> AltSet:
         cache.hits += 1
         return cached
     cache.misses += 1
-    return _teq_rec(cache.base.dom_of, cache.table, subset, cache.deadline)
+    base = cache.base
+    return _teq_rec(base.dom_of, base.beats, cache.table, subset, cache.deadline)
 
 
 def teq(t: Tournament) -> AltSet:
@@ -213,14 +239,16 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
     """All inclusion-minimal TEQ-retentive sets of t, ordered by smallest member.
 
     These are the terminal SCCs of the relation graph on the top cycle of t;
-    they are pairwise disjoint and their union is teq(t).
+    they are pairwise disjoint and their union is teq(t). Successors are
+    built only for uncovered top-cycle members, since TEQ lies in the
+    uncovered set (Schwartz 1990).
     """
     if cache is None:
         cache = TeqCache(t)
     if cache.deadline is not None and time.monotonic() >= cache.deadline:
         raise DeadlineExceeded
     top = _top_cycle(t.dom_of, full_set(t.order))
-    return _minimal_sets(t.dom_of, cache.table, top, cache.deadline)
+    return _minimal_sets(t.dom_of, t.beats, cache.table, top, cache.deadline)
 
 
 def bruteforce_minimal_retentive_sets(t: Tournament) -> list[AltSet]:

@@ -1,3 +1,4 @@
+import random
 import time
 
 import pytest
@@ -17,6 +18,7 @@ from teqtools.teq import (
     DeadlineExceeded,
     RelationGraph,
     TeqCache,
+    _terminal_scc_masks,
     bruteforce_minimal_retentive_sets,
     is_retentive,
     minimal_retentive_sets,
@@ -26,6 +28,7 @@ from teqtools.teq import (
     teq_of_subset,
     terminal_sccs,
 )
+from teqtools.search import compose_structured
 
 from conftest import all_tournaments, cycle_tournament, transitive_tournament
 
@@ -51,6 +54,51 @@ def top_cycle(t, subset):
     verts = members(subset)
     reach = reach_sets({v: t.beats[v] & subset for v in verts}, verts)
     return altset(v for v in verts if reach[v] == subset)
+
+
+def uncovered(t, subset):
+    """Members of subset that no y in subset covers (y beats x and everything x beats)."""
+    return altset(x for x in members(subset)
+                  if not any(t.beats[x] & subset & ~t.beats[y] == 0
+                             for y in members(t.dom_of[x] & subset)))
+
+
+def paley_tournament(p):
+    """i beats j iff j - i is a nonzero square mod p; a tournament for primes p = 3 mod 4."""
+    squares = {k * k % p for k in range(1, p)}
+    return Tournament([altset(j for j in range(p) if (j - i) % p in squares) for i in range(p)])
+
+
+def relabel(t, perm):
+    """t with alternative v renamed perm[v]."""
+    beats = [0] * t.order
+    for v in range(t.order):
+        beats[perm[v]] = altset(perm[w] for w in members(t.beats[v]))
+    return Tournament(beats)
+
+
+def unpruned_minimal_sets(t):
+    """Terminal SCCs of x -> TEQ(dom(x) & top) over every top-cycle member, no covering shortcut.
+
+    A memoised recursion through the public ``terminal_sccs``; it shares no
+    code with the library's recursion beyond that terminal step.
+    """
+    memo = {}
+
+    def minimal_sets(subset):
+        top = top_cycle(t, subset)
+        succ = {}
+        for v in members(top):
+            d = t.dom_of[v] & top
+            succ[v] = teq_of(d) if d else 0
+        return terminal_sccs(RelationGraph(universe=top, successors=succ))
+
+    def teq_of(subset):
+        if subset not in memo:
+            memo[subset] = altset(v for m in minimal_sets(subset) for v in members(m))
+        return memo[subset]
+
+    return minimal_sets(full_set(t.order))
 
 
 def dominant_cycle_tournament(top_order, rest_order):
@@ -234,6 +282,41 @@ class TestTopCyclePruning:
         assert minimal_retentive_sets(t) == [full_set(5)]
 
 
+class TestUncoveredPruning:
+    """TEQ lies in the uncovered set (Schwartz 1990); the recursion skips covered members."""
+
+    def test_teq_inside_uncovered_set_exhaustive(self):
+        for n in range(1, 6):
+            for t in all_tournaments(n):
+                assert teq_bruteforce(t) & ~uncovered(t, full_set(n)) == 0, t.beats
+
+    @given(seed=seeds, order=st.integers(6, 10))
+    @settings(max_examples=100, deadline=None)
+    def test_teq_inside_uncovered_set_random(self, seed, order):
+        t = random_tournament(order, seed)
+        assert teq_bruteforce(t) & ~uncovered(t, full_set(order)) == 0
+
+    def test_strong_four_tournament(self):
+        # 0 -> 1 -> 2 -> 3 -> 0 with 0 -> 2 and 1 -> 3: 1 beats 2 and 3, which
+        # is all 2 beats, so 2 is covered, and {0, 1, 3} is a 3-cycle
+        t = Tournament([0b0110, 0b1100, 0b1000, 0b0001])
+        assert top_cycle(t, full_set(4)) == full_set(4)
+        assert uncovered(t, full_set(4)) == 0b1011
+        assert teq_bruteforce(t) == teq(t) == 0b1011
+        assert minimal_retentive_sets(t) == [0b1011]
+
+    def test_matches_unpruned_recursion_beyond_oracle(self, big_t):
+        cases = [big_t] + [random_tournament(n, 1000 + n) for n in range(13, 29)]
+        cases += [compose_structured(random_tournament(n // 2, 2000 + n), n // 4)
+                  for n in (16, 20, 24)]
+        for p in (19, 23):
+            perm = list(range(p))
+            random.Random(p).shuffle(perm)
+            cases.append(relabel(paley_tournament(p), perm))
+        for t in cases:
+            assert minimal_retentive_sets(t) == unpruned_minimal_sets(t), t.beats
+
+
 class TestIsRetentive:
     def test_full_set_always(self):
         for seed in range(10):
@@ -345,11 +428,24 @@ class TestTerminalSccs:
             if reach[v] == comp and comp not in expected:
                 expected.append(comp)
         assert terminal_sccs(RelationGraph(universe=universe, successors=succ)) == expected
+        # restricted to candidates, with no successors given for the rest: only
+        # the terminal SCCs inside the candidates remain, and none reaches out
+        candidates = data.draw(st.integers(0, universe)) & universe
+        restricted = _terminal_scc_masks({v: succ[v] for v in members(candidates)}, candidates)
+        assert restricted == [c for c in expected if c & ~candidates == 0]
+        for comp in restricted:
+            for v in members(comp):
+                assert reach[v] == comp
 
     def test_rejects_escaping_successors(self):
         g = RelationGraph(universe=0b011, successors={0: 0b100, 1: 0})
         with pytest.raises(ValueError):
             terminal_sccs(g)
+
+    @pytest.mark.parametrize("universe, successors", [(0b011, {0: 0}), (0b001, {0: 0, 1: 0})])
+    def test_rejects_keys_that_differ_from_universe(self, universe, successors):
+        with pytest.raises(ValueError, match="key"):
+            terminal_sccs(RelationGraph(universe=universe, successors=successors))
 
 
 class TestDeadline:
