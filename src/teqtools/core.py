@@ -166,48 +166,88 @@ def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool
 
 
 def find_isomorphism(a: Tournament, b: Tournament) -> Optional[tuple[int, ...]]:
-    """Search for an isomorphism from a to b; None if there is none.
+    """Return an isomorphism from a to b (``mapping[i]`` is the image of i), or None.
 
-    Rejects fast on mismatched score sequences, then backtracks over
-    score-compatible assignments in score-class order.
+    Individualisation-refinement, the nauty/Traces scheme (McKay & Piperno,
+    "Practical graph isomorphism II", 2014). Both tournaments carry an ordered
+    partition of their alternatives, cell k of a standing for cell k of b.
+    Refinement splits every cell by each member's out-degree into every cell
+    until no cell splits; its first round compares the score sequences. The
+    two sides must split alike (same keys, same sizes), or no isomorphism
+    respects the partitions. While a cell has several members, the lowest
+    member of a's first smallest such cell is paired with each member of b's
+    matching cell in turn, and the search refines and recurses.
+
+    The result is *an* isomorphism, not a particular one: which is found
+    depends on the search order. It is returned only after ``is_isomorphism``
+    accepts it; None means no isomorphism exists.
     """
     if a.order != b.order:
         return None
-    n = a.order
-    scores_a = [a.score(i) for i in range(n)]
-    scores_b = [b.score(i) for i in range(n)]
-    if sorted(scores_a) != sorted(scores_b):
-        return None
+    everyone = full_set(a.order)
+    start = _refine(a.beats, b.beats, [everyone], [everyone])
+    return None if start is None else _individualise(a, b, *start)
 
-    order_a = sorted(range(n), key=lambda v: (scores_a[v], v))
-    candidates = {v: [w for w in range(n) if scores_b[w] == scores_a[v]] for v in order_a}
-    mapping = [-1] * n
-    used = [False] * n
 
-    def assign(pos: int) -> bool:
-        if pos == n:
-            return True
-        v = order_a[pos]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for prev in order_a[:pos]:
-                if a.dominates(v, prev) != b.dominates(w, mapping[prev]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if assign(pos + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    if assign(0):
-        return tuple(mapping)
+def _individualise(a: Tournament, b: Tournament, cells_a: list[AltSet],
+                   cells_b: list[AltSet]) -> Optional[tuple[int, ...]]:
+    """An isomorphism mapping cells_a[k] onto cells_b[k] for every k, or None."""
+    sizes = [c.bit_count() for c in cells_a]
+    if max(sizes) == 1:
+        mapping = [0] * a.order
+        for ca, cb in zip(cells_a, cells_b):
+            mapping[ca.bit_length() - 1] = cb.bit_length() - 1
+        return tuple(mapping) if is_isomorphism(a, b, mapping) else None
+    k = sizes.index(min(s for s in sizes if s > 1))
+    cell_a, cell_b = cells_a[k], cells_b[k]
+    low = cell_a & -cell_a
+    fixed_a = cells_a[:k] + [low, cell_a ^ low] + cells_a[k + 1:]
+    for w in iter_members(cell_b):
+        pick = 1 << w
+        refined = _refine(a.beats, b.beats, fixed_a,
+                          cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:])
+        if refined is not None:
+            found = _individualise(a, b, *refined)
+            if found is not None:
+                return found
     return None
+
+
+def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
+            cells_b: list[AltSet]) -> Optional[tuple[list[AltSet], list[AltSet]]]:
+    # Both sides split in lockstep; the first cell whose keys or part sizes
+    # differ proves that no isomorphism maps cells_a[k] to cells_b[k] for all k.
+    while True:
+        next_a: list[AltSet] = []
+        next_b: list[AltSet] = []
+        for ca, cb in zip(cells_a, cells_b):
+            if not ca & (ca - 1):
+                next_a.append(ca)
+                next_b.append(cb)
+                continue
+            parts_a = _split(beats_a, ca, cells_a)
+            parts_b = _split(beats_b, cb, cells_b)
+            if len(parts_a) != len(parts_b):
+                return None
+            for (key_a, part_a), (key_b, part_b) in zip(parts_a, parts_b):
+                if key_a != key_b or part_a.bit_count() != part_b.bit_count():
+                    return None
+                next_a.append(part_a)
+                next_b.append(part_b)
+        if len(next_a) == len(cells_a):
+            return next_a, next_b
+        cells_a, cells_b = next_a, next_b
+
+
+def _split(beats: Sequence[AltSet], cell: AltSet,
+           cells: list[AltSet]) -> list[tuple[tuple[int, ...], AltSet]]:
+    """Parts of ``cell`` by out-degree into each of ``cells``, in key order."""
+    parts: dict[tuple[int, ...], AltSet] = {}
+    for v in iter_members(cell):
+        row = beats[v]
+        key = tuple((row & c).bit_count() for c in cells)
+        parts[key] = parts.get(key, 0) | (1 << v)
+    return sorted(parts.items())
 
 
 def _mix64(z: int) -> int:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from teqtools.core import Tournament, altset
+from teqtools.core import Tournament, altset, members
 from teqtools.counterexample import build_counterexample
 
 
@@ -19,6 +19,19 @@ def cycle_tournament(n):
 def transitive_tournament(n):
     """i beats every j > i."""
     return Tournament([altset(range(i + 1, n)) for i in range(n)])
+
+
+def circulant(n, connection):
+    """Alternative i beats i + s (mod n) for every s in the connection set."""
+    return Tournament([altset((i + s) % n for s in connection) for i in range(n)])
+
+
+def relabel(t, perm):
+    """t with alternative v renamed perm[v]."""
+    beats = [0] * t.order
+    for v in range(t.order):
+        beats[perm[v]] = altset(perm[w] for w in members(t.beats[v]))
+    return Tournament(beats)
 
 
 def all_tournaments(n):

@@ -1,10 +1,13 @@
 import json
+import random
 
 import pytest
 
 from teqtools.cli import main
-from teqtools.core import parse, random_tournament, restrict, serialize
+from teqtools.core import is_isomorphism, members, parse, random_tournament, restrict, serialize
 from teqtools.counterexample import bundled_counterexample_text
+
+from conftest import circulant, relabel
 
 THREE_CYCLE = "3\n010\n001\n100\n"
 TRANSITIVE_3 = "3\n011\n001\n000\n"
@@ -146,6 +149,43 @@ class TestIsomorphicCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["isomorphic"] is True
         assert sorted(payload["mapping"]) == [1, 2, 3]
+
+    def test_order_63_not_isomorphic(self, capsys, tmp_path):
+        # Out-neighbourhoods of the rotational circulant are transitive; those
+        # of the other are not, so the pair is not isomorphic.
+        rotational = tuple(range(1, 32))
+        other = tuple(d if d % 3 else 63 - d for d in range(1, 32))
+        a = circulant(63, rotational)
+        b = relabel(circulant(63, other), random.Random(63).sample(range(63), 63))
+
+        def out_neighbourhood_scores(t):
+            # Both are vertex-transitive, so any one vertex stands for all.
+            within = t.beats[0]
+            return sorted((t.beats[u] & within).bit_count() for u in members(within))
+
+        assert out_neighbourhood_scores(a) == list(range(31))
+        assert out_neighbourhood_scores(b) != list(range(31))
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text(serialize(a))
+        fb.write_text(serialize(b))
+        assert main(["isomorphic", str(fa), str(fb)]) == 1
+        assert capsys.readouterr().out.strip() == "not isomorphic"
+        assert main(["isomorphic", str(fa), str(fb), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["isomorphic"] is False
+        assert payload["mapping"] is None
+
+    def test_order_63_relabelled_copies(self, capsys, tmp_path):
+        rng = random.Random(6363)
+        connection = tuple(d if rng.random() < 0.5 else 63 - d for d in range(1, 32))
+        fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
+        fa.write_text(serialize(relabel(circulant(63, connection), rng.sample(range(63), 63))))
+        fb.write_text(serialize(relabel(circulant(63, connection), rng.sample(range(63), 63))))
+        assert main(["isomorphic", str(fa), str(fb), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["isomorphic"] is True
+        mapping = [w - 1 for w in payload["mapping"]]
+        assert is_isomorphism(parse(fa.read_text()), parse(fb.read_text()), mapping)
 
 
 class TestGenCommand:

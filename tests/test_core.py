@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,7 @@ from teqtools.core import (
     serialize,
 )
 
-from conftest import all_tournaments, cycle_tournament, transitive_tournament
+from conftest import all_tournaments, circulant, cycle_tournament, relabel, transitive_tournament
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -148,6 +149,70 @@ def brute_force_isomorphism(a, b):
     return None
 
 
+def score_class_isomorphisms(a, b):
+    """Oracle: every isomorphism from a to b, by backtracking in score-class order.
+
+    Rejects on mismatched score sequences, then assigns a's alternatives in
+    (score, index) order, each to an unused alternative of b with the same
+    score whose dominance against every earlier assignment agrees.
+    """
+    if a.order != b.order:
+        return
+    n = a.order
+    scores_a = [a.score(i) for i in range(n)]
+    scores_b = [b.score(i) for i in range(n)]
+    if sorted(scores_a) != sorted(scores_b):
+        return
+    order_a = sorted(range(n), key=lambda v: (scores_a[v], v))
+    candidates = {v: [w for w in range(n) if scores_b[w] == scores_a[v]] for v in order_a}
+    mapping = [-1] * n
+    used = [False] * n
+
+    def assign(pos):
+        if pos == n:
+            yield tuple(mapping)
+            return
+        v = order_a[pos]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            if all(a.dominates(v, prev) == b.dominates(w, mapping[prev]) for prev in order_a[:pos]):
+                mapping[v] = w
+                used[w] = True
+                yield from assign(pos + 1)
+                used[w] = False
+                mapping[v] = -1
+
+    yield from assign(0)
+
+
+def reverse_a_three_cycle(t):
+    """t with its first 3-cycle i -> j -> k -> i reversed, which keeps every score; t if acyclic."""
+    for i, j, k in itertools.permutations(range(t.order), 3):
+        if t.dominates(i, j) and t.dominates(j, k) and t.dominates(k, i):
+            beats = list(t.beats)
+            for x, y in ((i, j), (j, k), (k, i)):
+                beats[x] ^= 1 << y
+                beats[y] |= 1 << x
+            return Tournament(beats)
+    return t
+
+
+def multiplier_equivalent(p, s, t):
+    """At prime order p, circulant(p, s) and circulant(p, t) are isomorphic iff
+    some unit u maps s onto t (Turner 1967)."""
+    return any({u * x % p for x in s} == set(t) for u in range(1, p))
+
+
+def random_connection_set(rng, n):
+    """One of d and n - d for each d in 1..(n-1)/2: a regular circulant tournament."""
+    return tuple(d if rng.random() < 0.5 else n - d for d in range(1, (n - 1) // 2 + 1))
+
+
+def quadratic_residues(p):
+    return tuple(sorted({x * x % p for x in range(1, p)}))
+
+
 class TestFindIsomorphism:
     def test_self_identity_works(self):
         t = cycle_tournament(5)
@@ -198,6 +263,74 @@ class TestFindIsomorphism:
     def test_is_isomorphism_rejects_non_bijection(self):
         t = transitive_tournament(3)
         assert not is_isomorphism(t, t, (0, 0, 2))
+
+    @given(order=st.integers(1, 12), seed_a=seeds, seed_b=seeds,
+           kind=st.sampled_from(["independent", "relabelled", "three-cycle reversed"]),
+           data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_score_class_backtracker(self, order, seed_a, seed_b, kind, data):
+        # A reversed 3-cycle keeps the score sequence, so only refinement
+        # past the first round can tell such a pair apart.
+        a = random_t(order, seed_a)
+        if kind == "independent":
+            b = random_t(order, seed_b)
+        else:
+            perm = data.draw(st.permutations(range(order)))
+            b = relabel(a if kind == "relabelled" else reverse_a_three_cycle(a), perm)
+        got = find_isomorphism(a, b)
+        expected = next(score_class_isomorphisms(a, b), None)
+        assert (got is None) == (expected is None)
+        if kind == "relabelled":
+            assert got is not None
+        if got is not None:
+            assert is_isomorphism(a, b, got)
+
+    @pytest.mark.parametrize("p", [19, 23, 29, 31, 37])
+    def test_relabelled_circulants_against_multiplier_criterion(self, p):
+        rng = random.Random(p)
+        s = random_connection_set(rng, p)
+        unit = rng.randrange(2, p)
+        pairs = [(s, tuple(unit * x % p for x in s))]
+        pairs += [(s, random_connection_set(rng, p)) for _ in range(2)]
+        if p in (19, 23, 31):
+            paley = quadratic_residues(p)
+            non_paley = paley[:-1] + (p - paley[-1],)
+            pairs += [(paley, paley), (paley, non_paley)]
+        verdicts = set()
+        for s_a, s_b in pairs:
+            a = relabel(circulant(p, s_a), rng.sample(range(p), p))
+            b = relabel(circulant(p, s_b), rng.sample(range(p), p))
+            expected = multiplier_equivalent(p, s_a, s_b)
+            got = find_isomorphism(a, b)
+            assert (got is not None) == expected, (s_a, s_b)
+            if got is not None:
+                assert is_isomorphism(a, b, got)
+            verdicts.add(expected)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("beats, perm", [
+        ((30, 360, 170, 240, 326, 209, 389, 275, 45), (6, 0, 5, 7, 8, 4, 3, 2, 1)),
+        ((174, 124, 728, 496, 1857, 468, 1921, 1810, 1543, 1067, 47),
+         (6, 1, 9, 8, 7, 0, 3, 2, 10, 4, 5)),
+    ])
+    def test_backtracks_past_a_branch_whose_trace_matches(self, beats, perm):
+        # Regular tournaments (rotational ones with some 3-cycles reversed) in
+        # which the first alternative of b whose refinement matches leads to
+        # no isomorphism, so the search must try the next one.
+        a = Tournament(beats)
+        b = relabel(a, perm)
+        assert next(score_class_isomorphisms(a, b), None) is not None
+        got = find_isomorphism(a, b)
+        assert got is not None and is_isomorphism(a, b, got)
+
+    def test_counterexample_halves_have_one_isomorphism(self, big_t, instance):
+        # Exactly one X -> Y isomorphism exists, so the verifier's witness does
+        # not depend on the order in which the search explores.
+        tx, _ = restrict(big_t, instance.x_set)
+        ty, _ = restrict(big_t, instance.y_set)
+        identity = tuple(range(12))
+        assert list(score_class_isomorphisms(tx, ty)) == [identity]
+        assert find_isomorphism(tx, ty) == identity
 
 
 class TestRandomTournament:

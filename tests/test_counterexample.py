@@ -97,6 +97,10 @@ class TestVerifyClaims:
             assert required in ids
         assert len(report.notes) == 2
 
+    def test_halves_isomorphic_witness_is_identity(self, instance):
+        claim = next(c for c in verify_claims(instance).claims if c.claim_id == "halves-isomorphic")
+        assert claim.details == "witness " + " ".join(f"x{i}->y{i}" for i in range(1, 13))
+
     def test_expected_table_row_12(self):
         assert EXPECTED_TEQ_TABLE[12] == (3, 4, 9)
         assert expected_teq_masks()[12] == altset([2, 3, 8])

@@ -30,7 +30,7 @@ from teqtools.teq import (
 )
 from teqtools.search import compose_structured
 
-from conftest import all_tournaments, cycle_tournament, transitive_tournament
+from conftest import all_tournaments, cycle_tournament, relabel, transitive_tournament
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -67,14 +67,6 @@ def paley_tournament(p):
     """i beats j iff j - i is a nonzero square mod p; a tournament for primes p = 3 mod 4."""
     squares = {k * k % p for k in range(1, p)}
     return Tournament([altset(j for j in range(p) if (j - i) % p in squares) for i in range(p)])
-
-
-def relabel(t, perm):
-    """t with alternative v renamed perm[v]."""
-    beats = [0] * t.order
-    for v in range(t.order):
-        beats[perm[v]] = altset(perm[w] for w in members(t.beats[v]))
-    return Tournament(beats)
 
 
 def unpruned_minimal_sets(t):
