@@ -13,7 +13,6 @@ from .core import (
     full_set,
     is_isomorphism,
     members,
-    new_tournament,
     parse,
     random_tournament,
     restrict,
@@ -28,16 +27,12 @@ from .counterexample import (
 from .search import SearchConfig, SearchReport, compose_structured, search_random
 from .teq import (
     DeadlineExceeded,
-    RelationGraph,
     TeqCache,
     bruteforce_minimal_retentive_sets,
     is_retentive,
     minimal_retentive_sets,
-    relation_graph,
-    teq,
     teq_bruteforce,
     teq_of_subset,
-    terminal_sccs,
 )
 
 __version__ = "0.1.0"

@@ -280,16 +280,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except core.FormatError as e:
+    except (core.FormatError, OSError) as e:  # before ValueError: FormatError is one
         print(f"{PROG}: error: {e}", file=sys.stderr)
         return 3
-    except OSError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 3
-    except UsageError as e:
-        print(f"{PROG}: error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (UsageError, ValueError) as e:
         print(f"{PROG}: error: {e}", file=sys.stderr)
         return 2
 

@@ -45,12 +45,26 @@ class FormatError(ValueError):
     """Tournament text does not conform to the file format."""
 
 
+class _PairError(ValueError):
+    """A pair that is oriented both ways or neither way; ``row`` is its larger index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
 class Tournament:
     """A complete asymmetric dominance relation on alternatives 0..order-1.
 
     ``beats[i]`` is the AltSet of alternatives that i dominates; ``dom_of[i]``
     is the AltSet of alternatives that dominate i. Instances are validated on
     construction and immutable afterwards, so they are safe to share freely.
+
+    Validation checks the order and every row for out-of-range and reflexive
+    entries first, then every pair (j, i) with j < i in row order: row i, then
+    column j ascending. The first bad pair is reported as ``asymmetry
+    violated at (j,i)`` (each beats the other) or ``completeness violated at
+    (j,i)`` (neither does).
     """
 
     __slots__ = ("order", "beats", "dom_of")
@@ -72,15 +86,15 @@ class Tournament:
                 low = rest & -rest
                 dom[low.bit_length() - 1] |= 1 << i
                 rest ^= low
-        for i in range(order):
-            both = beats[i] & dom[i]
-            if both:
-                j = (both & -both).bit_length() - 1
-                raise ValueError(f"asymmetry violated at ({min(i, j)},{max(i, j)})")
-            missing = (universe ^ (1 << i)) & ~(beats[i] | dom[i])
-            if missing:
-                j = (missing & -missing).bit_length() - 1
-                raise ValueError(f"completeness violated at ({min(i, j)},{max(i, j)})")
+        for i in range(1, order):
+            below = (1 << i) - 1
+            wins, losses = beats[i] & below, dom[i] & below
+            both = wins & losses
+            bad = both | (below & ~(wins | losses))
+            if bad:
+                j = (bad & -bad).bit_length() - 1
+                kind = "asymmetry" if (both >> j) & 1 else "completeness"
+                raise _PairError(f"{kind} violated at ({j},{i})", i)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "beats", beats)
         object.__setattr__(self, "dom_of", tuple(dom))
@@ -103,26 +117,6 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament(order={self.order})"
-
-
-def new_tournament(order: int, dominance: Sequence[Sequence[int]]) -> Tournament:
-    """Build a tournament from an order-by-order boolean table.
-
-    ``dominance[i][j]`` truthy means i dominates j. The table must be
-    irreflexive and have exactly one orientation per pair.
-    """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
-    rows = list(dominance)
-    if len(rows) != order:
-        raise ValueError(f"expected {order} rows, got {len(rows)}")
-    beats = []
-    for i, row in enumerate(rows):
-        cells = list(row)
-        if len(cells) != order:
-            raise ValueError(f"row {i} has {len(cells)} entries, expected {order}")
-        beats.append(altset(j for j, c in enumerate(cells) if c))
-    return Tournament(beats)
 
 
 def dominators(t: Tournament, within: AltSet, x: int) -> AltSet:
@@ -311,7 +305,11 @@ def flip_edge(t: Tournament, a: int, b: int) -> Tournament:
 
 
 def parse(text: str) -> Tournament:
-    """Parse the canonical text format (see ``serialize``)."""
+    """Parse the canonical text format (see ``serialize``).
+
+    Checks the syntax line by line; pair errors come from the ``Tournament``
+    constructor, prefixed with the line of the pair's larger index.
+    """
     lines = text.splitlines()
     if not lines:
         raise FormatError("line 1: missing order header")
@@ -342,15 +340,10 @@ def parse(text: str) -> Tournament:
         if (mask >> i) & 1:
             raise FormatError(f"line {line_no}: diagonal entry must be 0")
         beats.append(mask)
-    for i in range(order):
-        for j in range(i):
-            fwd = (beats[j] >> i) & 1
-            back = (beats[i] >> j) & 1
-            if fwd and back:
-                raise FormatError(f"line {i + 2}: asymmetry violated at ({j},{i})")
-            if not (fwd or back):
-                raise FormatError(f"line {i + 2}: completeness violated at ({j},{i})")
-    return Tournament(beats)
+    try:
+        return Tournament(beats)
+    except _PairError as e:
+        raise FormatError(f"line {e.row + 2}: {e}") from None
 
 
 def serialize(t: Tournament) -> str:

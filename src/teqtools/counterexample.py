@@ -81,9 +81,6 @@ class VerificationReport:
     def all_passed(self) -> bool:
         return all(c.passed for c in self.claims)
 
-    def failed_claims(self) -> list[ClaimResult]:
-        return [c for c in self.claims if not c.passed]
-
 
 def label(index: int) -> str:
     """Human label for an alternative: x1..x12 then y1..y12."""

@@ -17,9 +17,8 @@ enumeration, no SCC shortcut, no covering argument).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
-from .core import AltSet, Tournament, altset, full_set, iter_members
+from .core import AltSet, Tournament, full_set, iter_members
 
 BRUTEFORCE_MAX_ORDER = 12
 
@@ -45,14 +44,6 @@ class TeqCache:
         self.hits = 0
         self.misses = 0
         self.deadline = deadline  # time.monotonic() cutoff, None = unlimited
-
-
-@dataclass
-class RelationGraph:
-    """Successor structure: successors[x] = TEQ(dominators of x in universe)."""
-
-    universe: AltSet
-    successors: dict[int, AltSet]
 
 
 def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[AltSet]:
@@ -83,16 +74,6 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
         reach[v] = seen
         groups[seen] = groups.get(seen, 0) | 1 << v
     return sorted((r for r, g in groups.items() if g == r), key=lambda m: m & -m)
-
-
-def terminal_sccs(g: RelationGraph) -> list[AltSet]:
-    """Terminal SCCs of a relation graph, ordered by smallest vertex."""
-    if altset(g.successors) != g.universe:
-        raise ValueError("successors need a key for every member of the universe and no other")
-    for v, s in g.successors.items():
-        if s & ~g.universe or (s >> v) & 1:
-            raise ValueError(f"successors of {v} leave the universe or contain {v}")
-    return _terminal_scc_masks(g.successors, g.universe)
 
 
 def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
@@ -195,26 +176,6 @@ def teq_of_subset(cache: TeqCache, subset: AltSet) -> AltSet:
 def teq(t: Tournament) -> AltSet:
     """The tournament equilibrium set of t. Nonempty for every tournament."""
     return teq_of_subset(TeqCache(t), full_set(t.order))
-
-
-def relation_graph(cache: TeqCache, universe: AltSet | None = None) -> RelationGraph:
-    """Build the relation graph x -> TEQ(dominators of x) over ``universe``.
-
-    Vertices whose dominator set within the universe is empty get no
-    successors.
-    """
-    base = cache.base
-    if universe is None:
-        universe = full_set(base.order)
-    if not universe:
-        raise ValueError("empty universe")
-    if universe & ~full_set(base.order):
-        raise ValueError("universe contains out-of-range alternatives")
-    succ = {}
-    for v in iter_members(universe):
-        d = base.dom_of[v] & universe
-        succ[v] = teq_of_subset(cache, d) if d else 0
-    return RelationGraph(universe=universe, successors=succ)
 
 
 def is_retentive(cache: TeqCache, x_set: AltSet) -> bool:

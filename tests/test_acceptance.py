@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-The full module takes a few minutes; criteria 5 and 6 do the heavy sampling.
+The full module takes about 7 s on two CPUs; criteria 5 and 6 do the heavy sampling.
 """
 
 import time

@@ -1,0 +1,34 @@
+"""Byte-identical CLI gate: replay a recorded transcript through ``cli.main``.
+
+``data/cli_transcript.json`` holds the input files and, for each command, the
+exit code, stdout and stderr the CLI produced when it was recorded. The
+commands run in a directory holding those files and the bundled order-24
+instance as ``counterexample24.txt``, so every path in the output is relative.
+A change that alters any output byte, JSON key or exit code fails here.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from teqtools.cli import main
+from teqtools.counterexample import bundled_counterexample_text
+
+TRANSCRIPT = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    for name, text in TRANSCRIPT["files"].items():
+        (tmp_path / name).write_text(text)
+    (tmp_path / "counterexample24.txt").write_text(bundled_counterexample_text())
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
+
+
+@pytest.mark.parametrize("case", TRANSCRIPT["cases"], ids=lambda c: " ".join(c["argv"]))
+def test_replay(case, workdir, capsys):
+    code = main(list(case["argv"]))
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])

@@ -16,7 +16,6 @@ from teqtools.core import (
     full_set,
     is_isomorphism,
     members,
-    new_tournament,
     parse,
     random_tournament,
     restrict,
@@ -33,31 +32,38 @@ def random_t(order, seed):
 
 
 class TestNewTournament:
+    """Building a Tournament from its rows of beaten alternatives."""
+
     def test_single_alternative(self):
-        t = new_tournament(1, [[0]])
+        t = Tournament([0])
         assert t.order == 1
         assert t.beats == (0,)
 
     def test_three_cycle(self):
-        t = new_tournament(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        t = Tournament([0b010, 0b100, 0b001])
         assert t.dominates(0, 1) and t.dominates(1, 2) and t.dominates(2, 0)
 
     def test_asymmetry_rejected(self):
         with pytest.raises(ValueError, match=r"asymmetry violated at \(0,1\)"):
-            new_tournament(2, [[0, 1], [1, 0]])
+            Tournament([0b10, 0b01])
 
     def test_completeness_rejected(self):
         with pytest.raises(ValueError, match=r"completeness violated at \(0,1\)"):
-            new_tournament(2, [[0, 0], [0, 0]])
+            Tournament([0, 0])
 
     def test_reflexive_rejected(self):
         with pytest.raises(ValueError, match="reflexive"):
-            new_tournament(2, [[1, 1], [0, 0]])
+            Tournament([0b11, 0])
 
-    @pytest.mark.parametrize("order", [0, -1, 65])
+    @pytest.mark.parametrize("order", [0, 65])
     def test_order_bounds(self, order):
         with pytest.raises(ValueError, match="order"):
-            new_tournament(order, [])
+            Tournament([0] * order)
+
+    def test_first_bad_pair_in_row_order(self):
+        # row 1 misses (0,1) before row 2's asymmetric (0,2) is reached
+        with pytest.raises(ValueError, match=r"^completeness violated at \(0,1\)$"):
+            Tournament([0b100, 0b100, 0b011])
 
     def test_immutable(self):
         t = transitive_tournament(3)
@@ -110,7 +116,7 @@ class TestRestrict:
         assert mapping == tuple(range(7))
 
     def test_three_cycle_pair(self):
-        t = new_tournament(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+        t = Tournament([0b010, 0b100, 0b001])
         sub, mapping = restrict(t, altset([0, 1]))
         assert sub.order == 2
         assert sub.dominates(0, 1)
@@ -416,6 +422,33 @@ class TestParseSerialize:
     def test_trailing_garbage(self):
         with pytest.raises(FormatError, match="line 4: unexpected trailing"):
             parse("2\n01\n00\njunk\n")
+
+    @given(order=st.integers(2, 10), near=st.booleans(), data=st.data())
+    @settings(max_examples=300)
+    def test_agrees_with_constructor(self, order, near, data):
+        # a zero-diagonal 0/1 matrix, either arbitrary or a tournament with a
+        # few cells toggled
+        if near:
+            rows = list(random_tournament(order, data.draw(seeds)).beats)
+            cell = st.tuples(st.integers(0, order - 1), st.integers(0, order - 1))
+            for i, j in data.draw(st.lists(cell.filter(lambda c: c[0] != c[1]), max_size=3)):
+                rows[i] ^= 1 << j
+        else:
+            rows = [data.draw(st.integers(0, full_set(order))) & ~(1 << i) for i in range(order)]
+        text = "\n".join([str(order)] + ["".join(str(r >> j & 1) for j in range(order)) for r in rows])
+        bad = next(((j, i) for i in range(order) for j in range(i)
+                    if (rows[j] >> i & 1) == (rows[i] >> j & 1)), None)
+        if bad is None:
+            assert parse(text) == Tournament(rows)
+            return
+        j, i = bad
+        message = f"{'asymmetry' if rows[i] >> j & 1 else 'completeness'} violated at ({j},{i})"
+        with pytest.raises(ValueError) as built:
+            Tournament(rows)
+        assert str(built.value) == message
+        with pytest.raises(FormatError) as parsed:
+            parse(text)
+        assert str(parsed.value) == f"line {i + 2}: {message}"
 
     def test_counterexample_round_trip(self, big_t):
         assert parse(serialize(big_t)) == big_t

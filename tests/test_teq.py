@@ -1,5 +1,7 @@
+import importlib
 import random
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -16,17 +18,14 @@ from teqtools.core import (
 from teqtools.teq import (
     BRUTEFORCE_MAX_ORDER,
     DeadlineExceeded,
-    RelationGraph,
     TeqCache,
     _terminal_scc_masks,
     bruteforce_minimal_retentive_sets,
     is_retentive,
     minimal_retentive_sets,
-    relation_graph,
     teq,
     teq_bruteforce,
     teq_of_subset,
-    terminal_sccs,
 )
 from teqtools.search import compose_structured
 
@@ -72,8 +71,9 @@ def paley_tournament(p):
 def unpruned_minimal_sets(t):
     """Terminal SCCs of x -> TEQ(dom(x) & top) over every top-cycle member, no covering shortcut.
 
-    A memoised recursion through the public ``terminal_sccs``; it shares no
-    code with the library's recursion beyond that terminal step.
+    A memoised recursion through ``_terminal_scc_masks`` with every top-cycle
+    member as a candidate; it shares no code with the library's recursion
+    beyond that terminal step.
     """
     memo = {}
 
@@ -83,7 +83,7 @@ def unpruned_minimal_sets(t):
         for v in members(top):
             d = t.dom_of[v] & top
             succ[v] = teq_of(d) if d else 0
-        return terminal_sccs(RelationGraph(universe=top, successors=succ))
+        return _terminal_scc_masks(succ, top)
 
     def teq_of(subset):
         if subset not in memo:
@@ -374,36 +374,17 @@ class TestMinimalRetentiveSets:
         assert lows == sorted(lows)
 
 
-class TestRelationGraph:
-    def test_successor_structure(self, big_t):
-        cache = TeqCache(big_t)
-        g = relation_graph(cache)
-        assert g.universe == full_set(24)
-        for v, succ in g.successors.items():
-            assert succ & ~g.universe == 0
-            assert not (succ >> v) & 1
-            d = big_t.dom_of[v]
-            assert succ == (teq_of_subset(cache, d) if d else 0)
-
-    def test_undominated_vertex_has_no_successors(self):
-        t = condorcet_tournament(6, 4)
-        g = relation_graph(TeqCache(t))
-        assert g.successors[0] == 0
-
-
 class TestTerminalSccs:
     def test_single_cycle_over_universe(self):
-        g = RelationGraph(universe=0b1111, successors={0: 0b0010, 1: 0b0100, 2: 0b1000, 3: 0b0001})
-        assert terminal_sccs(g) == [0b1111]
+        succ = {0: 0b0010, 1: 0b0100, 2: 0b1000, 3: 0b0001}
+        assert _terminal_scc_masks(succ, 0b1111) == [0b1111]
 
     def test_sink_two_cycle(self):
         # a -> b, b <-> c, nothing leaves {b, c}
-        g = RelationGraph(universe=0b111, successors={0: 0b010, 1: 0b100, 2: 0b010})
-        assert terminal_sccs(g) == [0b110]
+        assert _terminal_scc_masks({0: 0b010, 1: 0b100, 2: 0b010}, 0b111) == [0b110]
 
     def test_no_edges_all_singletons(self):
-        g = RelationGraph(universe=0b111, successors={0: 0, 1: 0, 2: 0})
-        assert terminal_sccs(g) == [0b001, 0b010, 0b100]
+        assert _terminal_scc_masks({0: 0, 1: 0, 2: 0}, 0b111) == [0b001, 0b010, 0b100]
 
     @given(order=st.integers(1, 8), data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -419,7 +400,7 @@ class TestTerminalSccs:
             comp = altset(w for w in members(reach[v]) if (reach[w] >> v) & 1)
             if reach[v] == comp and comp not in expected:
                 expected.append(comp)
-        assert terminal_sccs(RelationGraph(universe=universe, successors=succ)) == expected
+        assert _terminal_scc_masks(succ, universe) == expected
         # restricted to candidates, with no successors given for the rest: only
         # the terminal SCCs inside the candidates remain, and none reaches out
         candidates = data.draw(st.integers(0, universe)) & universe
@@ -429,15 +410,15 @@ class TestTerminalSccs:
             for v in members(comp):
                 assert reach[v] == comp
 
-    def test_rejects_escaping_successors(self):
-        g = RelationGraph(universe=0b011, successors={0: 0b100, 1: 0})
-        with pytest.raises(ValueError):
-            terminal_sccs(g)
 
-    @pytest.mark.parametrize("universe, successors", [(0b011, {0: 0}), (0b001, {0: 0, 1: 0})])
-    def test_rejects_keys_that_differ_from_universe(self, universe, successors):
-        with pytest.raises(ValueError, match="key"):
-            terminal_sccs(RelationGraph(universe=universe, successors=successors))
+class TestPackageNamespace:
+    def test_teq_names_the_module(self):
+        import teqtools.teq as m
+
+        assert isinstance(m, types.ModuleType)
+        assert m is importlib.import_module("teqtools.teq")
+        assert m.minimal_retentive_sets is minimal_retentive_sets
+        assert m.teq is teq
 
 
 class TestDeadline:
