@@ -180,10 +180,6 @@ def _cmd_search(args) -> int:
     config = search.SearchConfig(order=args.order, trials=args.trials, seed=args.seed,
                                  mode=args.mode, time_budget=args.time_budget,
                                  witness_cap=args.witness_cap)
-    try:
-        config.validate()
-    except ValueError as e:
-        raise UsageError(str(e)) from None
     report = search.search_random(config)
     witness_files = []
     if args.witness_dir is not None:

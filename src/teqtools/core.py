@@ -7,7 +7,7 @@ arithmetic up to the order cap of 64.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
 
@@ -159,7 +159,7 @@ def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool
     return True
 
 
-def find_isomorphism(a: Tournament, b: Tournament) -> Optional[tuple[int, ...]]:
+def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:
     """Return an isomorphism from a to b (``mapping[i]`` is the image of i), or None.
 
     Individualisation-refinement, the nauty/Traces scheme (McKay & Piperno,
@@ -184,7 +184,7 @@ def find_isomorphism(a: Tournament, b: Tournament) -> Optional[tuple[int, ...]]:
 
 
 def _individualise(a: Tournament, b: Tournament, cells_a: list[AltSet],
-                   cells_b: list[AltSet]) -> Optional[tuple[int, ...]]:
+                   cells_b: list[AltSet]) -> tuple[int, ...] | None:
     """An isomorphism mapping cells_a[k] onto cells_b[k] for every k, or None."""
     sizes = [c.bit_count() for c in cells_a]
     if max(sizes) == 1:
@@ -208,7 +208,7 @@ def _individualise(a: Tournament, b: Tournament, cells_a: list[AltSet],
 
 
 def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-            cells_b: list[AltSet]) -> Optional[tuple[list[AltSet], list[AltSet]]]:
+            cells_b: list[AltSet]) -> tuple[list[AltSet], list[AltSet]] | None:
     # Both sides split in lockstep; the first cell whose keys or part sizes
     # differ proves that no isomorphism maps cells_a[k] to cells_b[k] for all k.
     while True:

@@ -11,10 +11,10 @@ Alternative indices: 0..11 are x1..x12, 12..23 are y1..y12.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from importlib import resources
+from collections import namedtuple
 
 from .core import AltSet, Tournament, altset, find_isomorphism, is_isomorphism, iter_members, restrict
+from .search import compose_structured
 from .teq import TeqCache, is_retentive, minimal_retentive_sets, teq_of_subset
 
 # Who dominates x_i inside the X half (1-based labels). The Y half is an exact
@@ -53,29 +53,13 @@ EXPECTED_TEQ_TABLE = {
 GOLDEN_FILE = "counterexample24.txt"
 
 
-@dataclass(frozen=True)
-class CounterexampleInstance:
-    tournament: Tournament
-    x_set: AltSet
-    y_set: AltSet
-    x1: AltSet
-    x2: AltSet
-    y1: AltSet
-    y2: AltSet
+CounterexampleInstance = namedtuple("CounterexampleInstance", "tournament x_set y_set x1 x2 y1 y2")
+
+ClaimResult = namedtuple("ClaimResult", "claim_id description passed details", defaults=("",))
 
 
-@dataclass
-class ClaimResult:
-    claim_id: str
-    description: str
-    passed: bool
-    details: str = ""
-
-
-@dataclass
-class VerificationReport:
-    claims: list[ClaimResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+class VerificationReport(namedtuple("VerificationReport", "claims notes")):
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:
@@ -94,24 +78,21 @@ def label_set(s: AltSet) -> str:
 def build_counterexample() -> CounterexampleInstance:
     """Construct the instance from the embedded tables.
 
-    The constructor validates that the tables yield a legal tournament
-    (exactly one orientation per pair), so an inconsistent table cannot
-    produce an instance.
+    The X half is built from DOM_X_TABLE and glued to its copy by
+    ``compose_structured``. The constructor validates that the table yields
+    a legal tournament (exactly one orientation per pair), so an
+    inconsistent table cannot produce an instance.
     """
-    beats = [0] * 24
+    half = [0] * 12
     for i, dominators_of_i in DOM_X_TABLE.items():
         for j in dominators_of_i:
-            beats[j - 1] |= 1 << (i - 1)            # x_j beats x_i
-            beats[j + 11] |= 1 << (i + 11)          # y_j beats y_i
+            half[j - 1] |= 1 << (i - 1)  # x_j beats x_i
     x1 = altset(range(0, 6))
     x2 = altset(range(6, 12))
-    y1 = altset(range(12, 18))
-    y2 = altset(range(18, 24))
-    for a_block, b_block in ((x1, y2), (x2, y1), (y1, x1), (y2, x2)):
-        for a in iter_members(a_block):
-            beats[a] |= b_block
+    y1 = x1 << 12
+    y2 = x2 << 12
     return CounterexampleInstance(
-        tournament=Tournament(beats),
+        tournament=compose_structured(Tournament(half), 6),
         x_set=x1 | x2,
         y_set=y1 | y2,
         x1=x1,
@@ -119,11 +100,6 @@ def build_counterexample() -> CounterexampleInstance:
         y1=y1,
         y2=y2,
     )
-
-
-def bundled_counterexample_text() -> str:
-    """The canonical serialized instance shipped with the package."""
-    return resources.files(__package__).joinpath("data", GOLDEN_FILE).read_text()
 
 
 def expected_teq_masks() -> dict[int, AltSet]:
@@ -139,7 +115,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
     """
     t = inst.tournament
     cache = TeqCache(t)
-    report = VerificationReport()
+    claims = []
     expected = expected_teq_masks()
 
     # TEQ of each x_i's full dominator set matches the expected table and
@@ -151,7 +127,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
         teq_x[i] = got
         want = expected[i]
         ok = got == want and got & ~inst.x_set == 0
-        report.claims.append(ClaimResult(
+        claims.append(ClaimResult(
             claim_id=f"teq-dom-x{i}",
             description=f"TEQ(dominators of x{i}) = {label_set(want)} and is inside X",
             passed=ok,
@@ -159,7 +135,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
         ))
 
     x_ret = is_retentive(cache, inst.x_set)
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="x-retentive",
         description="X is TEQ-retentive",
         passed=x_ret,
@@ -176,14 +152,14 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
         if got & ~inst.y_set:
             y_inside = False
             offenders.append(f"y{i}")
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="teq-dom-y-inside-y",
         description="TEQ(dominators of y_i) is inside Y for all i",
         passed=y_inside,
         details="all twelve contained" if y_inside else "escapes Y for " + ", ".join(offenders),
     ))
     y_ret = is_retentive(cache, inst.y_set)
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="y-retentive",
         description="Y is TEQ-retentive",
         passed=y_ret,
@@ -191,7 +167,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
     ))
 
     disjoint = inst.x_set & inst.y_set == 0
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="x-y-disjoint",
         description="X and Y are disjoint, so two disjoint retentive sets exist",
         passed=disjoint and x_ret and y_ret,
@@ -202,7 +178,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
     ty, _ = restrict(t, inst.y_set)
     witness = find_isomorphism(tx, ty)
     iso_ok = witness is not None and is_isomorphism(tx, ty, witness)
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="halves-isomorphic",
         description="the induced subtournaments on X and Y are isomorphic",
         passed=iso_ok,
@@ -219,7 +195,7 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
             if in_x != in_y:
                 symmetric = False
                 broken.append(f"(i={i}, j={j})")
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="x-y-symmetry",
         description="y_j in TEQ(dominators of y_i) iff x_j in TEQ(dominators of x_i), all 144 pairs",
         passed=symmetric,
@@ -229,19 +205,17 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
     minimal = minimal_retentive_sets(t, cache)
     has_x = any(m & ~inst.x_set == 0 for m in minimal)
     has_y = any(m & ~inst.y_set == 0 for m in minimal)
-    report.claims.append(ClaimResult(
+    claims.append(ClaimResult(
         claim_id="two-minimal-sets",
         description="at least two minimal retentive sets, one inside X and one inside Y",
         passed=len(minimal) >= 2 and has_x and has_y,
         details="minimal sets: " + "; ".join(label_set(m) for m in minimal),
     ))
 
-    report.notes.append(
+    notes = [
         "Retentiveness is checked with non-strict containment: "
-        "TEQ(dominators of x) may equal the candidate set itself."
-    )
-    report.notes.append(
+        "TEQ(dominators of x) may equal the candidate set itself.",
         "These checks establish two disjoint minimal TEQ-retentive sets at order 24; "
-        "weakened variants of the uniqueness conjecture are not checked."
-    )
-    return report
+        "weakened variants of the uniqueness conjecture are not checked.",
+    ]
+    return VerificationReport(claims, notes)

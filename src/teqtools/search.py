@@ -10,8 +10,7 @@ cross-block pattern as the embedded order-24 instance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from collections import namedtuple
 
 from .core import MAX_ORDER, Tournament, derive_seed, random_tournament, serialize
 from .teq import DeadlineExceeded, TeqCache, minimal_retentive_sets
@@ -20,14 +19,11 @@ MODES = ("uniform", "structured")
 DEFAULT_WITNESS_CAP = 10
 
 
-@dataclass
-class SearchConfig:
-    order: int
-    trials: int
-    seed: int
-    mode: str = "uniform"
-    time_budget: Optional[float] = None  # seconds per trial, None = unlimited
-    witness_cap: int = DEFAULT_WITNESS_CAP
+class SearchConfig(namedtuple("SearchConfig", "order trials seed mode time_budget witness_cap",
+                              defaults=("uniform", None, DEFAULT_WITNESS_CAP))):
+    """What one search run does; ``time_budget`` is seconds per trial, None = unlimited."""
+
+    __slots__ = ()
 
     def validate(self) -> None:
         if not 1 <= self.order <= MAX_ORDER:
@@ -44,37 +40,21 @@ class SearchConfig:
             raise ValueError("witness cap must be nonnegative")
 
 
-@dataclass
-class SearchReport:
-    """Aggregate results of one search run.
+class SearchReport(namedtuple("SearchReport", "order trials seed mode found timed_out witnesses "
+                                              "total_seconds max_trial_seconds")):
+    """Aggregate results of one search run; the field order is the JSON key order.
 
     Counts and witness bytes are a pure function of the config (with an
     unlimited time budget); the timing fields are not.
     """
 
-    order: int
-    trials: int
-    seed: int
-    mode: str
-    found: int = 0
-    timed_out: int = 0
-    witnesses: list[str] = field(default_factory=list)
-    total_seconds: float = 0.0
-    max_trial_seconds: float = 0.0
+    __slots__ = ()
 
     def to_dict(self, include_timing: bool = True) -> dict:
-        d = {
-            "order": self.order,
-            "trials": self.trials,
-            "seed": self.seed,
-            "mode": self.mode,
-            "found": self.found,
-            "timed_out": self.timed_out,
-            "witnesses": list(self.witnesses),
-        }
-        if include_timing:
-            d["total_seconds"] = self.total_seconds
-            d["max_trial_seconds"] = self.max_trial_seconds
+        d = self._asdict()
+        d["witnesses"] = list(self.witnesses)
+        if not include_timing:
+            del d["total_seconds"], d["max_trial_seconds"]
         return d
 
 
@@ -113,44 +93,37 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
     return Tournament(beats)
 
 
-def _trial_tournament(config: SearchConfig, trial_seed: int,
-                      half_source: Optional[Callable[[int], Tournament]]) -> Tournament:
-    if config.mode == "uniform":
-        return random_tournament(config.order, trial_seed)
-    half = half_source(trial_seed) if half_source else random_tournament(config.order // 2, trial_seed)
-    return compose_structured(half, config.order // 4)
-
-
-def search_random(config: SearchConfig,
-                  half_source: Optional[Callable[[int], Tournament]] = None) -> SearchReport:
+def search_random(config: SearchConfig) -> SearchReport:
     """Run ``config.trials`` independent trials and count multi-set findings.
 
     Trial t is seeded with derive_seed(config.seed, t), so a run is
     reproducible and trials could be distributed without changing the report.
     Witnesses (serialized tournaments with >= 2 minimal retentive sets) are
     kept up to the cap; counts stay exact. Trials that exceed the per-trial
-    time budget are counted as timed out, never as findings. ``half_source``
-    replaces the structured-mode half generator (testing hook).
+    time budget are counted as timed out, never as findings.
     """
     config.validate()
-    report = SearchReport(order=config.order, trials=config.trials,
-                          seed=config.seed, mode=config.mode)
+    found = timed_out = 0
+    witnesses = []
+    max_trial_seconds = 0.0
     started = time.monotonic()
     for trial in range(config.trials):
-        t = _trial_tournament(config, derive_seed(config.seed, trial), half_source)
+        trial_seed = derive_seed(config.seed, trial)
+        if config.mode == "uniform":
+            t = random_tournament(config.order, trial_seed)
+        else:
+            t = compose_structured(random_tournament(config.order // 2, trial_seed), config.order // 4)
         trial_started = time.monotonic()
         deadline = None if config.time_budget is None else trial_started + config.time_budget
         try:
             minimal = minimal_retentive_sets(t, TeqCache(t, deadline=deadline))
         except DeadlineExceeded:
-            report.timed_out += 1
+            timed_out += 1
         else:
             if len(minimal) >= 2:
-                report.found += 1
-                if len(report.witnesses) < config.witness_cap:
-                    report.witnesses.append(serialize(t))
-        trial_seconds = time.monotonic() - trial_started
-        if trial_seconds > report.max_trial_seconds:
-            report.max_trial_seconds = trial_seconds
-    report.total_seconds = time.monotonic() - started
-    return report
+                found += 1
+                if len(witnesses) < config.witness_cap:
+                    witnesses.append(serialize(t))
+        max_trial_seconds = max(max_trial_seconds, time.monotonic() - trial_started)
+    return SearchReport(config.order, config.trials, config.seed, config.mode, found, timed_out,
+                        witnesses, time.monotonic() - started, max_trial_seconds)

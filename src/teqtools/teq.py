@@ -202,10 +202,12 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
     These are the terminal SCCs of the relation graph on the top cycle of t;
     they are pairwise disjoint and their union is teq(t). Successors are
     built only for uncovered top-cycle members, since TEQ lies in the
-    uncovered set (Schwartz 1990).
+    uncovered set (Schwartz 1990). A given ``cache`` must have base t.
     """
     if cache is None:
         cache = TeqCache(t)
+    elif cache.base != t:
+        raise ValueError("cache belongs to a different tournament")
     if cache.deadline is not None and time.monotonic() >= cache.deadline:
         raise DeadlineExceeded
     top = _top_cycle(t.dom_of, full_set(t.order))

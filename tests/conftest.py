@@ -1,9 +1,11 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
+import teqtools
 from teqtools.core import Tournament, altset, members
-from teqtools.counterexample import build_counterexample
+from teqtools.counterexample import GOLDEN_FILE, build_counterexample
 
 
 def cycle_tournament(n):
@@ -55,3 +57,9 @@ def instance():
 @pytest.fixture(scope="session")
 def big_t(instance):
     return instance.tournament
+
+
+@pytest.fixture(scope="session")
+def golden_text():
+    """The serialized order-24 instance shipped beside the package."""
+    return (Path(teqtools.__file__).parent / "data" / GOLDEN_FILE).read_text()

@@ -1,11 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import teqtools
 from teqtools.cli import main
 from teqtools.core import is_isomorphism, members, parse, random_tournament, restrict, serialize
-from teqtools.counterexample import bundled_counterexample_text
 
 from conftest import circulant, relabel
 
@@ -14,9 +18,9 @@ TRANSITIVE_3 = "3\n011\n001\n000\n"
 
 
 @pytest.fixture
-def cx_file(tmp_path):
+def cx_file(tmp_path, golden_text):
     path = tmp_path / "cx.txt"
-    path.write_text(bundled_counterexample_text())
+    path.write_text(golden_text)
     return str(path)
 
 
@@ -215,6 +219,12 @@ class TestSearchCommand:
         assert payload["mode"] == "uniform"
         assert "total_seconds" in payload
 
+    def test_json_key_order(self, capsys):
+        assert main(["search", "--order", "6", "--trials", "2", "--seed", "3", "--json"]) == 0
+        assert list(json.loads(capsys.readouterr().out)) == [
+            "order", "trials", "seed", "mode", "found", "timed_out", "witnesses",
+            "total_seconds", "max_trial_seconds", "command", "witness_files"]
+
     def test_text_report(self, capsys):
         assert main(["search", "--order", "6", "--trials", "5", "--seed", "3"]) == 0
         out = capsys.readouterr().out
@@ -223,7 +233,8 @@ class TestSearchCommand:
     def test_structured_needs_multiple_of_four(self, capsys):
         assert main(["search", "--order", "10", "--trials", "1", "--seed", "0",
                      "--mode", "structured"]) == 2
-        assert "divisible by 4" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "teqtools: error: structured mode needs order divisible by 4, got 10\n"
 
     def test_witness_dir_created(self, capsys, tmp_path):
         out_dir = tmp_path / "wit"
@@ -243,3 +254,15 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--order", "5"])
         assert exc.value.code == 2
+
+
+class TestStartup:
+    def test_import_skips_heavy_stdlib_modules(self):
+        # -S keeps site from preloading typing and importlib.resources, which
+        # would hide a package import of either
+        heavy = ("dataclasses", "inspect", "typing", "importlib.resources")
+        env = dict(os.environ, PYTHONPATH=str(Path(teqtools.__file__).parents[1]))
+        code = f"import sys, teqtools.cli; print([m for m in {heavy!r} if m in sys.modules])"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[]\n"

@@ -13,16 +13,15 @@ from pathlib import Path
 import pytest
 
 from teqtools.cli import main
-from teqtools.counterexample import bundled_counterexample_text
 
 TRANSCRIPT = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
 
 
 @pytest.fixture
-def workdir(tmp_path, monkeypatch):
+def workdir(tmp_path, monkeypatch, golden_text):
     for name, text in TRANSCRIPT["files"].items():
         (tmp_path / name).write_text(text)
-    (tmp_path / "counterexample24.txt").write_text(bundled_counterexample_text())
+    (tmp_path / "counterexample24.txt").write_text(golden_text)
     monkeypatch.chdir(tmp_path)
     return tmp_path
 

@@ -6,7 +6,6 @@ from teqtools.counterexample import (
     EXPECTED_TEQ_TABLE,
     CounterexampleInstance,
     build_counterexample,
-    bundled_counterexample_text,
     expected_teq_masks,
     label,
     label_set,
@@ -32,12 +31,12 @@ class TestBuild:
         for block in (instance.x1, instance.x2, instance.y1, instance.y2):
             assert block.bit_count() == 6
 
-    def test_deterministic_and_matches_golden_file(self, instance):
-        assert serialize(instance.tournament) == bundled_counterexample_text()
+    def test_deterministic_and_matches_golden_file(self, instance, golden_text):
+        assert serialize(instance.tournament) == golden_text
         assert build_counterexample().tournament == instance.tournament
 
-    def test_golden_file_parses_back(self, instance):
-        assert parse(bundled_counterexample_text()) == instance.tournament
+    def test_golden_file_parses_back(self, instance, golden_text):
+        assert parse(golden_text) == instance.tournament
 
     def test_dominators_of_x5_within_x(self, big_t, instance):
         assert dominators(big_t, instance.x_set, 4) == altset([1, 2, 3, 7, 9, 10])

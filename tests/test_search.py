@@ -1,5 +1,6 @@
 import pytest
 
+import teqtools.search
 from teqtools.core import full_set, parse, random_tournament, restrict
 from teqtools.search import SearchConfig, compose_structured, search_random
 from teqtools.teq import minimal_retentive_sets
@@ -69,29 +70,32 @@ class TestSearchRandom:
         report = search_random(SearchConfig(order=8, trials=30, seed=9, mode="structured"))
         assert report.found == 0
 
-    def test_injected_half_finds_the_instance(self, big_t, instance):
+    @pytest.fixture
+    def embedded_half(self, monkeypatch, big_t, instance):
+        """Every structured-mode trial draws the X half of the embedded instance."""
         half, _ = restrict(big_t, instance.x_set)
+        monkeypatch.setattr(teqtools.search, "random_tournament", lambda order, seed: half)
+
+    def test_injected_half_finds_the_instance(self, big_t, embedded_half):
         config = SearchConfig(order=24, trials=1, seed=0, mode="structured")
-        report = search_random(config, half_source=lambda seed: half)
+        report = search_random(config)
         assert report.found == 1
         assert len(report.witnesses) == 1
         assert parse(report.witnesses[0]) == big_t
         # identical reports, witness bytes included
-        again = search_random(config, half_source=lambda seed: half)
+        again = search_random(config)
         assert again.to_dict(include_timing=False) == report.to_dict(include_timing=False)
 
-    def test_witnesses_reverify_on_reload(self, big_t, instance):
-        half, _ = restrict(big_t, instance.x_set)
+    def test_witnesses_reverify_on_reload(self, embedded_half):
         config = SearchConfig(order=24, trials=3, seed=0, mode="structured")
-        report = search_random(config, half_source=lambda seed: half)
+        report = search_random(config)
         assert report.found == 3
         for text in report.witnesses:
             assert len(minimal_retentive_sets(parse(text))) >= 2
 
-    def test_witness_cap(self, big_t, instance):
-        half, _ = restrict(big_t, instance.x_set)
+    def test_witness_cap(self, embedded_half):
         config = SearchConfig(order=24, trials=5, seed=0, mode="structured", witness_cap=2)
-        report = search_random(config, half_source=lambda seed: half)
+        report = search_random(config)
         assert report.found == 5
         assert len(report.witnesses) == 2
 

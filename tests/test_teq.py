@@ -373,6 +373,20 @@ class TestMinimalRetentiveSets:
         lows = [m & -m for m in sets]
         assert lows == sorted(lows)
 
+    def test_cache_of_another_tournament_rejected(self):
+        # a cache filled for a would otherwise answer b's queries with a's TEQ values
+        a, b = random_tournament(13, 1), random_tournament(13, 2)
+        cache = TeqCache(a)
+        minimal_retentive_sets(a, cache)
+        with pytest.raises(ValueError, match="different tournament"):
+            minimal_retentive_sets(b, cache)
+        assert minimal_retentive_sets(b) == [8191]
+
+    def test_cache_of_an_equal_tournament_accepted(self):
+        a = random_tournament(13, 1)
+        cache = TeqCache(a)
+        assert minimal_retentive_sets(Tournament(a.beats), cache) == minimal_retentive_sets(a)
+
 
 class TestTerminalSccs:
     def test_single_cycle_over_universe(self):
