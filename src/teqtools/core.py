@@ -163,48 +163,80 @@ def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:
     """Return an isomorphism from a to b (``mapping[i]`` is the image of i), or None.
 
     Individualisation-refinement, the nauty/Traces scheme (McKay & Piperno,
-    "Practical graph isomorphism II", 2014). Both tournaments carry an ordered
-    partition of their alternatives, cell k of a standing for cell k of b.
-    Refinement splits every cell by each member's out-degree into every cell
-    until no cell splits; its first round compares the score sequences. The
-    two sides must split alike (same keys, same sizes), or no isomorphism
-    respects the partitions. While a cell has several members, the lowest
-    member of a's first smallest such cell is paired with each member of b's
-    matching cell in turn, and the search refines and recurses.
-
-    The result is *an* isomorphism, not a particular one: which is found
-    depends on the search order. It is returned only after ``is_isomorphism``
-    accepts it; None means no isomorphism exists.
+    "Practical graph isomorphism II", 2014); see ``_match``. The result is
+    *an* isomorphism, not a particular one: which is found depends on the
+    search order. It is returned only after ``is_isomorphism`` accepts it;
+    None means no isomorphism exists.
     """
     if a.order != b.order:
         return None
     everyone = full_set(a.order)
-    start = _refine(a.beats, b.beats, [everyone], [everyone])
-    return None if start is None else _individualise(a, b, *start)
+    mapping = _match(a.beats, b.beats, [everyone], [everyone])
+    return None if mapping is None or not is_isomorphism(a, b, mapping) else tuple(mapping)
 
 
-def _individualise(a: Tournament, b: Tournament, cells_a: list[AltSet],
-                   cells_b: list[AltSet]) -> tuple[int, ...] | None:
-    """An isomorphism mapping cells_a[k] onto cells_b[k] for every k, or None."""
+def _match(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
+           cells_b: list[AltSet]) -> list[int] | None:
+    """A dominance-preserving bijection mapping cells_a[k] onto cells_b[k] for every k, or None.
+
+    Both sides carry an ordered partition, cell k of a standing for cell k of
+    b; only the union of the cells is matched, and ``mapping[v]`` is the image
+    of v for v in that union. Refinement splits every cell by each member's
+    out-degree into every cell until no cell splits, and the two sides must
+    split alike (same keys, same sizes). While a cell has several members,
+    the lowest member of a's first smallest such cell is paired with each
+    member of b's matching cell in turn, and the search refines and recurses.
+    A discrete partition is accepted only if the bijection it defines
+    preserves dominance on the union.
+    """
+    refined = _refine(beats_a, beats_b, cells_a, cells_b)
+    return None if refined is None else _individualise(beats_a, beats_b, *refined)
+
+
+def _individualise(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
+                   cells_b: list[AltSet]) -> list[int] | None:
+    """``_match`` on partitions that refinement no longer splits."""
     sizes = [c.bit_count() for c in cells_a]
     if max(sizes) == 1:
-        mapping = [0] * a.order
+        mapping = [0] * len(beats_a)
         for ca, cb in zip(cells_a, cells_b):
             mapping[ca.bit_length() - 1] = cb.bit_length() - 1
-        return tuple(mapping) if is_isomorphism(a, b, mapping) else None
+        return mapping if _preserves(beats_a, beats_b, cells_a, cells_b, mapping) else None
     k = sizes.index(min(s for s in sizes if s > 1))
     cell_a, cell_b = cells_a[k], cells_b[k]
     low = cell_a & -cell_a
     fixed_a = cells_a[:k] + [low, cell_a ^ low] + cells_a[k + 1:]
     for w in iter_members(cell_b):
         pick = 1 << w
-        refined = _refine(a.beats, b.beats, fixed_a,
+        refined = _refine(beats_a, beats_b, fixed_a,
                           cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:])
         if refined is not None:
-            found = _individualise(a, b, *refined)
+            found = _individualise(beats_a, beats_b, *refined)
             if found is not None:
                 return found
     return None
+
+
+def _preserves(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
+               cells_b: list[AltSet], mapping: list[int]) -> bool:
+    # a bijection of tournaments preserves dominance iff it maps every
+    # out-neighbourhood onto the image's out-neighbourhood
+    union_a, union_b = sum(cells_a), sum(cells_b)  # cells are disjoint
+    for ca in cells_a:
+        v = ca.bit_length() - 1
+        if _map_set(mapping, beats_a[v] & union_a) != beats_b[mapping[v]] & union_b:
+            return False
+    return True
+
+
+def _map_set(mapping: Sequence[int], s: AltSet) -> AltSet:
+    """The image of the set s under ``mapping`` (``mapping[v]`` is the image of v)."""
+    image = 0
+    while s:
+        low = s & -s
+        image |= 1 << mapping[low.bit_length() - 1]
+        s ^= low
+    return image
 
 
 def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],

@@ -34,7 +34,7 @@ class SearchConfig(namedtuple("SearchConfig", "order trials seed mode time_budge
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.mode == "structured" and self.order % 4:
             raise ValueError(f"structured mode needs order divisible by 4, got {self.order}")
-        if self.time_budget is not None and self.time_budget < 0:
+        if self.time_budget is not None and not self.time_budget >= 0:  # rejects NaN too
             raise ValueError("time budget must be nonnegative")
         if self.witness_cap < 0:
             raise ValueError("witness cap must be nonnegative")

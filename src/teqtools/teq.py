@@ -9,18 +9,27 @@ the top cycle, found by comparing bitset reach-sets. TEQ also lies in the
 uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is inside
 the uncovered set), so a covered top-cycle member is in no terminal SCC.
 The recursion therefore only descends into dominator subsets of uncovered
-top-cycle members, memoised by subset bitmask. ``teq_bruteforce`` is an
+top-cycle members, memoised by subset bitmask. TEQ is also neutral: an
+automorphism maps TEQ of a set onto TEQ of its image. So on a large regular
+top cycle, where no member is covered, the recursion runs once for the
+lowest member, and the successors of every member found in its orbit are
+that one mapped through an automorphism (individualisation-refinement,
+``core._match``) and stored in the memo too. ``teq_bruteforce`` is an
 independent oracle that transcribes the definition literally (subset
-enumeration, no SCC shortcut, no covering argument).
+enumeration, no SCC shortcut, no covering argument, no automorphisms).
 """
 
 from __future__ import annotations
 
 import time
 
-from .core import AltSet, Tournament, full_set, iter_members
+from .core import AltSet, Tournament, _map_set, _match, full_set, iter_members
 
 BRUTEFORCE_MAX_ORDER = 12
+# Smallest regular top cycle whose successors are shared across automorphism
+# orbits; on smaller ones an automorphism search costs more than the
+# recursions it saves.
+_ORBIT_MIN_SIZE = 17
 
 
 class DeadlineExceeded(Exception):
@@ -31,8 +40,11 @@ class TeqCache:
     """Memo table mapping subsets of one base tournament to their TEQ.
 
     A subset of a fixed base fully determines the induced subtournament, so
-    the bitmask is a sound memo key. Never share a cache across different
-    base tournaments; a cache is confined to one computation at a time.
+    the bitmask is a sound memo key. Besides the subsets the recursion
+    visits, the table holds the successors mapped from another member's
+    through an automorphism of a regular top cycle, keyed by that member's
+    dominators in the top cycle. Never share a cache across different base
+    tournaments; a cache is confined to one computation at a time.
     ``hits``/``misses`` count top-level queries, not internal recursion.
     """
 
@@ -107,13 +119,23 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     They are the terminal SCCs of the relation graph x -> TEQ(dominators of x)
     on ``top``, which holds every dominator of its members. A top cycle of at
     most three members (a Condorcet winner or a 3-cycle) is the only one.
-    Otherwise successors are built only for the uncovered members: v is
-    covered when a member y beats v and everything v beats in ``top``. TEQ
-    lies in the uncovered set (Schwartz 1990), so a covered member is in no
-    terminal SCC, and neither is any member that reaches one.
+    A regular top cycle of at least ``_ORBIT_MIN_SIZE`` members takes its
+    successors from ``_orbit_successors``, which shares one recursion across
+    an orbit of its automorphism group. Otherwise successors are built only
+    for the uncovered members: v is covered when a member y beats v and
+    everything v beats in ``top``. TEQ lies in the uncovered set (Schwartz
+    1990), so a covered member is in no terminal SCC, and neither is any
+    member that reaches one.
     """
-    if top.bit_count() <= 3:
+    size = top.bit_count()
+    if size <= 3:
         return [top]
+    # regular needs an odd size and every score half of the rest; the lowest
+    # member's score is checked first, so most tops are rejected at once
+    if (size >= _ORBIT_MIN_SIZE and size & 1
+            and (beats[(top & -top).bit_length() - 1] & top).bit_count() == size >> 1
+            and all((beats[v] & top).bit_count() == size >> 1 for v in iter_members(top))):
+        return _terminal_scc_masks(_orbit_successors(dom_of, beats, table, top, deadline), top)
     succ = {}
     uncovered = 0
     for v in iter_members(top):
@@ -128,6 +150,55 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
             succ[v] = _teq_rec(dom_of, beats, table, dom, deadline)
             uncovered |= 1 << v
     return _terminal_scc_masks(succ, uncovered)
+
+
+def _orbit_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
+                      table: dict[AltSet, AltSet], top: AltSet,
+                      deadline: float | None) -> dict[int, AltSet]:
+    """x -> TEQ(dominators of x in ``top``) for every member of a regular top cycle.
+
+    No member of a regular tournament is covered, since a cover would score
+    higher. TEQ is neutral: an automorphism g of the top cycle maps the
+    dominators of u onto those of g(u), so TEQ(dom(g(u))) = g(TEQ(dom(u))).
+    The recursion runs for the lowest member r. Then, while the lowest member
+    not yet reached has r's out-neighbourhood score multiset and ``core._match``
+    finds an automorphism taking r to it (McKay & Piperno 2014), the known
+    successors are closed under every automorphism found, and each mapped
+    successor is also stored in the memo. From the first member shown to lie
+    outside r's orbit on, every member still unreached is recursed on directly.
+    """
+    r = (top & -top).bit_length() - 1
+    rest = top ^ (1 << r)
+    succ = {r: _teq_rec(dom_of, beats, table, dom_of[r] & top, deadline)}
+    profile = _out_profile(beats, top, r)
+    automorphisms = []
+    for v in iter_members(rest):
+        if v in succ:
+            continue
+        if _out_profile(beats, top, v) != profile:
+            break
+        g = _match(beats, beats, [1 << r, rest], [1 << v, top ^ (1 << v)])
+        if g is None:
+            break
+        automorphisms.append(g)
+        todo = list(succ)
+        while todo:
+            u = todo.pop()
+            for h in automorphisms:
+                w = h[u]
+                if w not in succ:
+                    succ[w] = table[dom_of[w] & top] = _map_set(h, succ[u])
+                    todo.append(w)
+    for v in iter_members(rest):
+        if v not in succ:
+            succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
+    return succ
+
+
+def _out_profile(beats: tuple[AltSet, ...], top: AltSet, v: int) -> list[int]:
+    """Sorted scores inside v's out-neighbourhood in ``top``; an automorphism invariant of v."""
+    out = beats[v] & top
+    return sorted((beats[w] & out).bit_count() for w in iter_members(out))
 
 
 def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[AltSet, AltSet],
@@ -202,7 +273,8 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
     These are the terminal SCCs of the relation graph on the top cycle of t;
     they are pairwise disjoint and their union is teq(t). Successors are
     built only for uncovered top-cycle members, since TEQ lies in the
-    uncovered set (Schwartz 1990). A given ``cache`` must have base t.
+    uncovered set (Schwartz 1990), and a large regular top cycle shares them
+    across automorphism orbits. A given ``cache`` must have base t.
     """
     if cache is None:
         cache = TeqCache(t)

@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -26,6 +27,34 @@ def transitive_tournament(n):
 def circulant(n, connection):
     """Alternative i beats i + s (mod n) for every s in the connection set."""
     return Tournament([altset((i + s) % n for s in connection) for i in range(n)])
+
+
+def paley_tournament(p):
+    """i beats j iff j - i is a nonzero square mod p; a tournament for primes p = 3 mod 4."""
+    squares = {k * k % p for k in range(1, p)}
+    return circulant(p, squares)
+
+
+def random_regular(n, seed, reversals):
+    """A seeded circulant of odd order n with ``reversals`` random directed 3-cycles reversed.
+
+    Reversing a directed 3-cycle keeps every score, so the result is regular.
+    With no reversal it is vertex-transitive; a few reversals usually leave a
+    trivial automorphism group.
+    """
+    rng = random.Random(seed)
+    beats = list(circulant(n, [d if rng.random() < 0.5 else n - d
+                               for d in range(1, n // 2 + 1)]).beats)
+    for _ in range(reversals):
+        a = rng.randrange(n)
+        b = rng.choice(members(beats[a]))
+        # c with b -> c -> a closes the 3-cycle a -> b -> c -> a; in a regular
+        # tournament of order >= 3 every arc lies on one
+        c = rng.choice(members(beats[b] & ~beats[a] & ~(1 << a)))
+        for x, y in ((a, b), (b, c), (c, a)):
+            beats[x] ^= 1 << y
+            beats[y] ^= 1 << x
+    return Tournament(beats)
 
 
 def relabel(t, perm):

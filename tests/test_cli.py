@@ -11,7 +11,7 @@ import teqtools
 from teqtools.cli import main
 from teqtools.core import is_isomorphism, members, parse, random_tournament, restrict, serialize
 
-from conftest import circulant, relabel
+from conftest import circulant, paley_tournament, relabel
 
 THREE_CYCLE = "3\n010\n001\n100\n"
 TRANSITIVE_3 = "3\n011\n001\n000\n"
@@ -84,6 +84,16 @@ class TestMinimalRetentiveCommand:
             " ".join(str(v) for v in range(1, 13)),
             " ".join(str(v) for v in range(13, 25)),
         ]
+
+
+    def test_paley_59_json(self, capsys, tmp_path):
+        # a regular order-59 tournament, the largest Paley order under the cap
+        path = tmp_path / "paley59.txt"
+        perm = random.Random(59).sample(range(59), 59)
+        path.write_text(serialize(relabel(paley_tournament(59), perm)))
+        assert main(["minimal-retentive", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["minimal_retentive_sets"] == [list(range(1, 60))]
 
 
 class TestRetentiveCommand:
@@ -235,6 +245,14 @@ class TestSearchCommand:
                      "--mode", "structured"]) == 2
         assert capsys.readouterr().err == \
             "teqtools: error: structured mode needs order divisible by 4, got 10\n"
+
+    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    def test_invalid_time_budget(self, capsys, budget):
+        assert main(["search", "--order", "13", "--trials", "3", "--seed", "1",
+                     "--time-budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "teqtools: error: time budget must be nonnegative\n"
 
     def test_witness_dir_created(self, capsys, tmp_path):
         out_dir = tmp_path / "wit"

@@ -1,6 +1,8 @@
 import pytest
 
-from teqtools.core import altset, dominators, full_set, parse, serialize, flip_edge
+import itertools
+
+from teqtools.core import altset, dominators, full_set, parse, restrict, serialize, flip_edge
 from teqtools.counterexample import (
     DOM_X_TABLE,
     EXPECTED_TEQ_TABLE,
@@ -11,7 +13,7 @@ from teqtools.counterexample import (
     label_set,
     verify_claims,
 )
-from teqtools.teq import TeqCache, teq_of_subset
+from teqtools.teq import TeqCache, minimal_retentive_sets, teq_of_subset
 
 
 def mutated(inst, a, b):
@@ -126,3 +128,18 @@ class TestVerifyClaims:
     def test_teq_x1_value(self, big_t):
         cache = TeqCache(big_t)
         assert teq_of_subset(cache, big_t.dom_of[0]) == altset([3, 7, 11])
+
+
+class TestNeighbourhood:
+    """The instance is isolated: few single changes keep two minimal retentive sets."""
+
+    def test_twelve_arc_reversals_keep_two_sets(self, big_t):
+        counts = [len(minimal_retentive_sets(flip_edge(big_t, *pair)))
+                  for pair in itertools.combinations(range(24), 2)]
+        assert (counts.count(2), counts.count(1), len(counts)) == (12, 264, 276)
+
+    @pytest.mark.parametrize("removed", [1, 2])
+    def test_no_vertex_deletion_keeps_two_sets(self, big_t, removed):
+        for gone in itertools.combinations(range(24), removed):
+            sub, _ = restrict(big_t, full_set(24) & ~altset(gone))
+            assert len(minimal_retentive_sets(sub)) == 1, gone

@@ -46,11 +46,19 @@ class TestSearchConfig:
         dict(order=8, trials=1, seed=0, mode="fancy"),
         dict(order=10, trials=1, seed=0, mode="structured"),  # not divisible by 4
         dict(order=8, trials=1, seed=0, time_budget=-1.0),
+        dict(order=8, trials=1, seed=0, time_budget=float("nan")),
         dict(order=8, trials=1, seed=0, witness_cap=-1),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs).validate()
+
+    def test_nan_time_budget_rejected(self):
+        # NaN compares false with everything, so a "< 0" check let it through as no limit
+        with pytest.raises(ValueError, match="^time budget must be nonnegative$"):
+            SearchConfig(order=13, trials=3, seed=1, time_budget=float("nan")).validate()
+        with pytest.raises(ValueError, match="nonnegative"):
+            search_random(SearchConfig(order=13, trials=3, seed=1, time_budget=float("nan")))
 
 
 class TestSearchRandom:

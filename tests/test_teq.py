@@ -3,6 +3,8 @@ import random
 import time
 import types
 
+import teqtools.teq as teq_module
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from teqtools.teq import (
     BRUTEFORCE_MAX_ORDER,
     DeadlineExceeded,
     TeqCache,
+    _ORBIT_MIN_SIZE,
     _terminal_scc_masks,
     bruteforce_minimal_retentive_sets,
     is_retentive,
@@ -29,7 +32,15 @@ from teqtools.teq import (
 )
 from teqtools.search import compose_structured
 
-from conftest import all_tournaments, cycle_tournament, relabel, transitive_tournament
+from conftest import (
+    all_tournaments,
+    circulant,
+    cycle_tournament,
+    paley_tournament,
+    random_regular,
+    relabel,
+    transitive_tournament,
+)
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -62,12 +73,6 @@ def uncovered(t, subset):
                              for y in members(t.dom_of[x] & subset)))
 
 
-def paley_tournament(p):
-    """i beats j iff j - i is a nonzero square mod p; a tournament for primes p = 3 mod 4."""
-    squares = {k * k % p for k in range(1, p)}
-    return Tournament([altset(j for j in range(p) if (j - i) % p in squares) for i in range(p)])
-
-
 def unpruned_minimal_sets(t):
     """Terminal SCCs of x -> TEQ(dom(x) & top) over every top-cycle member, no covering shortcut.
 
@@ -91,6 +96,13 @@ def unpruned_minimal_sets(t):
         return memo[subset]
 
     return minimal_sets(full_set(t.order))
+
+
+def relabelled_paley(p):
+    """Paley p under a seeded random relabelling, so no member order follows the rotation."""
+    perm = list(range(p))
+    random.Random(p).shuffle(perm)
+    return relabel(paley_tournament(p), perm)
 
 
 def dominant_cycle_tournament(top_order, rest_order):
@@ -301,12 +313,103 @@ class TestUncoveredPruning:
         cases = [big_t] + [random_tournament(n, 1000 + n) for n in range(13, 29)]
         cases += [compose_structured(random_tournament(n // 2, 2000 + n), n // 4)
                   for n in (16, 20, 24)]
-        for p in (19, 23):
-            perm = list(range(p))
-            random.Random(p).shuffle(perm)
-            cases.append(relabel(paley_tournament(p), perm))
+        cases += [relabelled_paley(p) for p in (19, 23, 31)]
+        # seeded circulants at prime and composite orders: regular top cycles
+        # whose successors are shared across automorphism orbits
+        rng = random.Random(21)
+        for n in range(21, 36, 2):
+            connection = [d if rng.random() < 0.5 else n - d for d in range(1, n // 2 + 1)]
+            cases.append(relabel(circulant(n, connection), rng.sample(range(n), n)))
         for t in cases:
             assert minimal_retentive_sets(t) == unpruned_minimal_sets(t), t.beats
+
+
+def z3_regular(reversed_at, first):
+    """Circulant 21 with the 3-cycles {i, i+7, i+14} reversed for i in ``reversed_at``.
+
+    Rotation by 7 maps each reversed 3-cycle onto itself, so the tournament
+    stays regular and keeps that rotation as an automorphism, while the
+    other rotations are lost: an automorphism group that is not transitive.
+    It is relabelled so that the members in ``first`` come first, in order.
+    """
+    beats = list(circulant(21, [1, 2, 4, 6, 7, 9, 11, 13, 16, 18]).beats)
+    for i in reversed_at:
+        for x, y in ((i, i + 7), (i + 7, i + 14), (i + 14, i)):
+            beats[x % 21] ^= 1 << y % 21
+            beats[y % 21] ^= 1 << x % 21
+    order = list(first) + [v for v in range(21) if v not in first]
+    perm = [0] * 21
+    for new, old in enumerate(order):
+        perm[old] = new
+    return relabel(Tournament(beats), perm)
+
+
+class TestOrbitSharing:
+    """A regular top cycle recurses once per automorphism orbit and maps the other successors."""
+
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_memo_entries_match_oracle(self, p):
+        # the answer is the whole top cycle either way, so every memo entry the
+        # oracle can reach is checked, the mapped successors included
+        t = relabelled_paley(p)
+        assert p >= _ORBIT_MIN_SIZE
+        cache = TeqCache(t)
+        assert minimal_retentive_sets(t, cache) == [full_set(p)]
+        assert all(t.dom_of[v] in cache.table for v in range(p))
+        for s, value in cache.table.items():
+            if s.bit_count() <= BRUTEFORCE_MAX_ORDER:
+                sub, mapping = restrict(t, s)
+                assert value == altset(mapping[v] for v in members(teq_bruteforce(sub))), s
+
+    def test_paley_59_memo_stays_small(self):
+        # 68,558 memo entries when every member recursed on its own
+        t = relabelled_paley(59)
+        cache = TeqCache(t)
+        assert minimal_retentive_sets(t, cache) == [full_set(59)]
+        assert len(cache.table) < 1000
+        # the mapped successors are in the memo, so checking retentiveness recurses no more
+        assert is_retentive(cache, full_set(59))
+        assert (cache.hits, cache.misses) == (59, 0)
+
+    @given(order=st.sampled_from(range(9, 26, 2)), seed=seeds, reversals=st.integers(0, 12),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_regular_against_unpruned_recursion(self, order, seed, reversals, data):
+        perm = data.draw(st.permutations(range(order)))
+        t = relabel(random_regular(order, seed, reversals), perm)
+        sets = minimal_retentive_sets(t)
+        assert sets == unpruned_minimal_sets(t)
+        if order <= 11:
+            assert sets == bruteforce_minimal_retentive_sets(t)
+
+    @pytest.mark.parametrize("reversed_at", [(0,), (0, 1, 3), (2, 5)])
+    @pytest.mark.parametrize("first", [(), (0, 7, 14)])
+    def test_intransitive_automorphism_group(self, reversed_at, first):
+        # with 0, 7 and 14 first, the orbit of the lowest member is found
+        # before a member outside it ends the search
+        t = z3_regular(reversed_at, first)
+        assert minimal_retentive_sets(t) == unpruned_minimal_sets(t)
+
+    def test_one_failed_search_per_top(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(match(*args))
+            return calls[-1]
+
+        match = teq_module._match
+        monkeypatch.setattr(teq_module, "_match", counted)
+        # 0's orbit is {0, 7, 14}; 1 and 4 lie outside it with the same scores
+        # inside their out-neighbourhoods, so each would take a failed search
+        minimal_retentive_sets(z3_regular((2,), (0, 7, 14, 1, 4)))
+        assert calls.count(None) == 1
+
+    def test_expired_deadline_raises(self):
+        t = relabelled_paley(31)
+        with pytest.raises(DeadlineExceeded):
+            minimal_retentive_sets(t, TeqCache(t, deadline=time.monotonic() - 1))
+        with pytest.raises(DeadlineExceeded):
+            teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(31))
 
 
 class TestIsRetentive:
