@@ -5,9 +5,14 @@ exit code, stdout and stderr the CLI produced when it was recorded. The
 commands run in a directory holding those files and the bundled order-24
 instance as ``counterexample24.txt``, so every path in the output is relative.
 A change that alters any output byte, JSON key or exit code fails here.
+
+The one normalisation: ``search`` reports wall time, so its ``total time:``
+text line and its ``*_seconds`` JSON values are masked on both sides. The
+transcript is written by ``record_cli_transcript.py``.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -15,6 +20,11 @@ import pytest
 from teqtools.cli import main
 
 TRANSCRIPT = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
+TIMING = re.compile(r"(total time: |_seconds\": )[^ ,\n]+(  \(max trial [^)]*\))?")
+
+
+def mask_timing(argv, stdout):
+    return TIMING.sub(r"\1<time>", stdout) if argv[0] == "search" else stdout
 
 
 @pytest.fixture
@@ -30,4 +40,5 @@ def workdir(tmp_path, monkeypatch, golden_text):
 def test_replay(case, workdir, capsys):
     code = main(list(case["argv"]))
     out, err = capsys.readouterr()
-    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+    expected = mask_timing(case["argv"], case["stdout"])
+    assert (code, mask_timing(case["argv"], out), err) == (case["exit"], expected, case["stderr"])
