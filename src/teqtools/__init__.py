@@ -9,7 +9,6 @@ from .core import (
     derive_seed,
     dominators,
     find_isomorphism,
-    flip_edge,
     full_set,
     is_isomorphism,
     members,

@@ -33,8 +33,6 @@ def _parse_index_list(text: str) -> list[int]:
         if v < 1:
             raise UsageError(f"invalid index {v}: indices are 1-based")
         out.append(v)
-    if not out:
-        raise UsageError("empty index list")
     return out
 
 
@@ -56,81 +54,68 @@ def _format_mask(mask: int) -> str:
 
 
 def _load(path: str) -> core.Tournament:
-    return core.parse(Path(path).read_text())
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:  # a ValueError, which main would report as a usage error
+        raise core.FormatError(f"{path}: {e}") from None
+    return core.parse(text)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    elif not args.quiet:
-        for line in text_lines:
-            print(line)
+# Each handler returns (exit code, JSON payload, text lines, --quiet lines);
+# main alone prints.
 
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     inst = counterexample.build_counterexample()
     report = counterexample.verify_claims(inst)
-    if args.json:
-        payload = {
-            "command": "verify-counterexample",
-            "all_passed": report.all_passed,
-            "claims": [
-                {"id": c.claim_id, "description": c.description,
-                 "passed": c.passed, "details": c.details}
-                for c in report.claims
-            ],
-            "notes": report.notes,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        for c in report.claims:
-            if args.quiet and c.passed:
-                continue
-            status = "PASS" if c.passed else "FAIL"
-            line = f"{status}  {c.claim_id}: {c.description}"
-            if c.details:
-                line += f" ({c.details})"
-            print(line)
-        if not args.quiet:
-            for note in report.notes:
-                print(f"note: {note}")
-        verdict = "all claims pass" if report.all_passed else "SOME CLAIMS FAIL"
-        print(f"{len(report.claims)} claims checked: {verdict}")
-    return 0 if report.all_passed else 1
+    payload = {
+        "command": "verify-counterexample",
+        "all_passed": report.all_passed,
+        "claims": [
+            {"id": c.claim_id, "description": c.description,
+             "passed": c.passed, "details": c.details}
+            for c in report.claims
+        ],
+        "notes": report.notes,
+    }
+    claim_lines = [f"{'PASS' if c.passed else 'FAIL'}  {c.claim_id}: {c.description}"
+                   + (f" ({c.details})" if c.details else "")
+                   for c in report.claims]
+    verdict = "all claims pass" if report.all_passed else "SOME CLAIMS FAIL"
+    count = f"{len(report.claims)} claims checked: {verdict}"
+    failing = [line for line, c in zip(claim_lines, report.claims) if not c.passed]
+    lines = claim_lines + [f"note: {note}" for note in report.notes] + [count]
+    return (0 if report.all_passed else 1), payload, lines, failing + [count]
 
 
-def _cmd_teq(args) -> int:
+def _cmd_teq(args):
     t = _load(args.file)
     result = teq(t)
-    _emit(args,
-          {"command": "teq", "file": args.file, "order": t.order,
-           "teq": _mask_to_indices(result)},
-          [_format_mask(result)])
-    return 0
+    return (0,
+            {"command": "teq", "file": args.file, "order": t.order,
+             "teq": _mask_to_indices(result)},
+            [_format_mask(result)], [])
 
 
-def _cmd_minimal_retentive(args) -> int:
+def _cmd_minimal_retentive(args):
     t = _load(args.file)
     sets = minimal_retentive_sets(t)
-    _emit(args,
-          {"command": "minimal-retentive", "file": args.file, "order": t.order,
-           "minimal_retentive_sets": [_mask_to_indices(m) for m in sets]},
-          [_format_mask(m) for m in sets])
-    return 0
+    return (0,
+            {"command": "minimal-retentive", "file": args.file, "order": t.order,
+             "minimal_retentive_sets": [_mask_to_indices(m) for m in sets]},
+            [_format_mask(m) for m in sets], [])
 
 
-def _cmd_retentive(args) -> int:
+def _cmd_retentive(args):
     t = _load(args.file)
     mask = _indices_to_mask(_parse_index_list(args.set), t.order, "--set")
     result = is_retentive(TeqCache(t), mask)
-    _emit(args,
-          {"command": "retentive", "file": args.file,
-           "set": _mask_to_indices(mask), "retentive": result},
-          ["retentive" if result else "not retentive"])
-    return 0 if result else 1
+    return (0 if result else 1,
+            {"command": "retentive", "file": args.file,
+             "set": _mask_to_indices(mask), "retentive": result},
+            ["retentive" if result else "not retentive"], [])
 
 
-def _cmd_dominators(args) -> int:
+def _cmd_dominators(args):
     t = _load(args.file)
     if args.alt < 1:
         raise UsageError(f"--alt: index {args.alt} is 1-based")
@@ -141,42 +126,36 @@ def _cmd_dominators(args) -> int:
     else:
         within = _indices_to_mask(_parse_index_list(args.within), t.order, "--within")
     result = core.dominators(t, within, args.alt - 1)
-    _emit(args,
-          {"command": "dominators", "file": args.file, "alt": args.alt,
-           "within": None if args.within is None else _mask_to_indices(within),
-           "dominators": _mask_to_indices(result)},
-          [_format_mask(result)])
-    return 0
+    return (0,
+            {"command": "dominators", "file": args.file, "alt": args.alt,
+             "within": None if args.within is None else _mask_to_indices(within),
+             "dominators": _mask_to_indices(result)},
+            [_format_mask(result)], [])
 
 
-def _cmd_isomorphic(args) -> int:
+def _cmd_isomorphic(args):
     a = _load(args.file_a)
     b = _load(args.file_b)
     witness = core.find_isomorphism(a, b)
     if witness is None:
-        _emit(args,
-              {"command": "isomorphic", "isomorphic": False, "mapping": None},
-              ["not isomorphic"])
-        return 1
+        return (1, {"command": "isomorphic", "isomorphic": False, "mapping": None},
+                ["not isomorphic"], [])
     mapping = [w + 1 for w in witness]
-    _emit(args,
-          {"command": "isomorphic", "isomorphic": True, "mapping": mapping},
-          ["isomorphic: " + " ".join(f"{i + 1}->{w}" for i, w in enumerate(mapping))])
-    return 0
+    return (0,
+            {"command": "isomorphic", "isomorphic": True, "mapping": mapping},
+            ["isomorphic: " + " ".join(f"{i + 1}->{w}" for i, w in enumerate(mapping))], [])
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     t = core.random_tournament(args.order, args.seed)
     text = core.serialize(t)
-    if args.json:
-        print(json.dumps({"command": "gen", "order": args.order,
-                          "seed": args.seed, "tournament": text}, indent=2))
-    else:
-        sys.stdout.write(text)
-    return 0
+    lines = text.splitlines()
+    return (0,
+            {"command": "gen", "order": args.order, "seed": args.seed, "tournament": text},
+            lines, lines)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args):
     config = search.SearchConfig(order=args.order, trials=args.trials, seed=args.seed,
                                  mode=args.mode, time_budget=args.time_budget,
                                  witness_cap=args.witness_cap)
@@ -189,21 +168,16 @@ def _cmd_search(args) -> int:
             path = out_dir / f"witness_{k:03d}.txt"
             path.write_text(text)
             witness_files.append(str(path))
-    if args.json:
-        payload = report.to_dict()
-        payload["command"] = "search"
-        payload["witness_files"] = witness_files
-        print(json.dumps(payload, indent=2))
-    elif args.quiet:
-        print(f"found {report.found} / {report.trials}")
-    else:
-        print(f"order {report.order}  mode {report.mode}  trials {report.trials}  seed {report.seed}")
-        print(f"found {report.found} tournaments with >= 2 minimal retentive sets")
-        print(f"timed out: {report.timed_out}")
-        print(f"total time: {report.total_seconds:.2f}s  (max trial {report.max_trial_seconds * 1000:.1f} ms)")
-        for path in witness_files:
-            print(f"witness written: {path}")
-    return 0
+    payload = report.to_dict()
+    payload["command"] = "search"
+    payload["witness_files"] = witness_files
+    lines = [
+        f"order {report.order}  mode {report.mode}  trials {report.trials}  seed {report.seed}",
+        f"found {report.found} tournaments with >= 2 minimal retentive sets",
+        f"timed out: {report.timed_out}",
+        f"total time: {report.total_seconds:.2f}s  (max trial {report.max_trial_seconds * 1000:.1f} ms)",
+    ] + [f"witness written: {path}" for path in witness_files]
+    return 0, payload, lines, [f"found {report.found} / {report.trials}"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -275,7 +249,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, payload, lines, quiet_lines = args.func(args)
+        if args.json:
+            print(json.dumps(payload, indent=2))
+        else:
+            for line in quiet_lines if args.quiet else lines:
+                print(line)
+        return code
     except (core.FormatError, OSError) as e:  # before ValueError: FormatError is one
         print(f"{PROG}: error: {e}", file=sys.stderr)
         return 3

@@ -105,10 +105,6 @@ class Tournament:
     def dominates(self, i: int, j: int) -> bool:
         return bool((self.beats[i] >> j) & 1)
 
-    def score(self, i: int) -> int:
-        """Out-degree of alternative i."""
-        return self.beats[i].bit_count()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Tournament) and self.beats == other.beats
 
@@ -317,22 +313,6 @@ def random_tournament(order: int, seed: int) -> Tournament:
             else:
                 beats[j] |= 1 << i
             k += 1
-    return Tournament(beats)
-
-
-def flip_edge(t: Tournament, a: int, b: int) -> Tournament:
-    """Copy of t with the orientation of pair {a, b} reversed."""
-    if a == b:
-        raise ValueError("cannot flip a reflexive pair")
-    if not (0 <= a < t.order and 0 <= b < t.order):
-        raise IndexError(f"pair ({a},{b}) out of range for order {t.order}")
-    beats = list(t.beats)
-    if t.dominates(a, b):
-        winner, loser = a, b
-    else:
-        winner, loser = b, a
-    beats[winner] ^= 1 << loser
-    beats[loser] |= 1 << winner
     return Tournament(beats)
 
 

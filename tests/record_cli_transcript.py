@@ -41,7 +41,7 @@ MALFORMED = {
 
 CE = "counterexample24.txt"
 SEARCH = ["search", "--order", "13", "--trials", "3", "--seed", "1"]
-MODES = ([], ["--quiet"], ["--json"], ["--json", "--quiet"])
+OUTPUT_FLAGS = ([], ["--quiet"], ["--json"], ["--json", "--quiet"])
 
 CASES = [
     ["verify-counterexample"],
@@ -57,14 +57,14 @@ CASES = [
     ["teq", "missing.txt"],
     *(["teq", name] for name in MALFORMED),
     ["verify-counterexample", "--json", "--quiet"],
-    *(["teq", CE, *m] for m in MODES[1::2]),
-    *(["minimal-retentive", CE, *m] for m in MODES[1::2]),
-    *(["retentive", CE, "--set", s, *m] for s in ("1,2,3,4,5,6,7,8,9,10,11,12", "1,13") for m in MODES),
-    *(["dominators", CE, "--alt", "1", *m] for m in MODES),
+    *(["teq", CE, *m] for m in OUTPUT_FLAGS[1::2]),
+    *(["minimal-retentive", CE, *m] for m in OUTPUT_FLAGS[1::2]),
+    *(["retentive", CE, "--set", s, *m] for s in ("1,2,3,4,5,6,7,8,9,10,11,12", "1,13") for m in OUTPUT_FLAGS),
+    *(["dominators", CE, "--alt", "1", *m] for m in OUTPUT_FLAGS),
     ["dominators", CE, "--alt", "1", "--within", "1,2,3,4,5,6,7,8,9,10,11,12"],
-    *(["isomorphic", CE, other, *m] for other in ("relabelled24.txt", "random24.txt") for m in MODES),
-    *(["gen", "--order", "5", "--seed", "3", *m] for m in MODES[1:]),
-    *([*SEARCH, *m] for m in MODES),
+    *(["isomorphic", CE, other, *m] for other in ("relabelled24.txt", "random24.txt") for m in OUTPUT_FLAGS),
+    *(["gen", "--order", "5", "--seed", "3", *m] for m in OUTPUT_FLAGS[1:]),
+    *([*SEARCH, *m] for m in OUTPUT_FLAGS),
     ["search", "--order", "16", "--trials", "2", "--seed", "1", "--mode", "structured"],
     [*SEARCH, "--witness-dir", "witnesses"],
     ["dominators", CE, "--alt", "0"],

@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
-The full module takes about 7 s on two CPUs; criteria 5 and 6 do the heavy sampling.
+The full module takes 9–18 s on two CPUs; criteria 5 and 6 do the heavy sampling (8–15 s of it).
 """
 
 import time
@@ -11,7 +11,6 @@ from teqtools.core import (
     altset,
     derive_seed,
     find_isomorphism,
-    flip_edge,
     full_set,
     is_isomorphism,
     members,
@@ -36,7 +35,7 @@ from teqtools.teq import (
     teq_of_subset,
 )
 
-from conftest import all_tournaments
+from conftest import all_tournaments, flip_edge
 
 
 def _report(number, name, ok, extra=""):

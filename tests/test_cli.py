@@ -75,6 +75,13 @@ class TestTeqCommand:
         assert main(["teq", str(bad)]) == 3
         assert "completeness violated" in capsys.readouterr().err
 
+    def test_undecodable_file_is_malformed_input(self, capsys, tmp_path):
+        bad = tmp_path / "bin.txt"
+        bad.write_bytes(b"\xff\xfe")
+        assert main(["teq", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("teqtools: error: ") and err.count("\n") == 1
+
 
 class TestMinimalRetentiveCommand:
     def test_counterexample_two_lines(self, capsys, cx_file):
@@ -155,6 +162,15 @@ class TestIsomorphicCommand:
         fb.write_text(TRANSITIVE_3)
         assert main(["isomorphic", str(fa), str(fb)]) == 1
         assert capsys.readouterr().out.strip() == "not isomorphic"
+
+    def test_undecodable_second_file_is_malformed_input(self, capsys, tmp_path):
+        fa = tmp_path / "a.txt"
+        fb = tmp_path / "b.txt"
+        fa.write_text(THREE_CYCLE)
+        fb.write_bytes(b"3\n0\xe91\n001\n000\n")
+        assert main(["isomorphic", str(fa), str(fb)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("teqtools: error: ") and err.count("\n") == 1
 
     def test_json_mapping(self, capsys, tmp_path):
         fa = tmp_path / "a.txt"

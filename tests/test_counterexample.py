@@ -2,7 +2,7 @@ import pytest
 
 import itertools
 
-from teqtools.core import altset, dominators, full_set, parse, restrict, serialize, flip_edge
+from teqtools.core import altset, dominators, full_set, parse, restrict, serialize
 from teqtools.counterexample import (
     DOM_X_TABLE,
     EXPECTED_TEQ_TABLE,
@@ -14,6 +14,8 @@ from teqtools.counterexample import (
     verify_claims,
 )
 from teqtools.teq import TeqCache, minimal_retentive_sets, teq_of_subset
+
+from conftest import flip_edge
 
 
 def mutated(inst, a, b):
