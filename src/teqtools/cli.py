@@ -2,7 +2,8 @@
 
 All indices in CLI input and output are 1-based (internal representation is
 0-based). Exit codes: 0 success (and "yes" for retentive/isomorphic), 1 "no",
-2 usage errors, 3 malformed or unreadable input files.
+2 usage errors, 3 malformed or unreadable input files, or an unusable
+``search --witness-dir``.
 """
 
 from __future__ import annotations
@@ -159,11 +160,14 @@ def _cmd_search(args):
     config = search.SearchConfig(order=args.order, trials=args.trials, seed=args.seed,
                                  mode=args.mode, time_budget=args.time_budget,
                                  witness_cap=args.witness_cap)
+    # a bad value is a usage error, and an unusable directory fails before any trial runs
+    config.validate()
+    out_dir = None if args.witness_dir is None else Path(args.witness_dir)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
     report = search.search_random(config)
     witness_files = []
-    if args.witness_dir is not None:
-        out_dir = Path(args.witness_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+    if out_dir is not None:
         for k, text in enumerate(report.witnesses):
             path = out_dir / f"witness_{k:03d}.txt"
             path.write_text(text)

@@ -15,6 +15,8 @@ AltSet = int
 
 _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def altset(indices: Iterable[int]) -> AltSet:
@@ -275,8 +277,8 @@ def _split(beats: Sequence[AltSet], cell: AltSet,
 def _mix64(z: int) -> int:
     # splitmix64 finalizer
     z &= _M64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    z = ((z ^ (z >> 30)) * _MIX1) & _M64
+    z = ((z ^ (z >> 27)) * _MIX2) & _M64
     return z ^ (z >> 31)
 
 
@@ -304,15 +306,17 @@ def random_tournament(order: int, seed: int) -> Tournament:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
     beats = [0] * order
-    key = _mix64(seed)
-    k = 0
+    # derive_seed inlined: counter runs through key + (k + 1) * _GOLDEN mod
+    # 2**64, and the last xor-shift of _mix64 leaves the top bit as it is
+    counter = _mix64(seed)
     for i in range(order):
         for j in range(i + 1, order):
-            if _draw(key, k) >> 63:
+            counter = (counter + _GOLDEN) & _M64
+            z = ((counter ^ (counter >> 30)) * _MIX1) & _M64
+            if ((z ^ (z >> 27)) * _MIX2) >> 63 & 1:
                 beats[i] |= 1 << j
             else:
                 beats[j] |= 1 << i
-            k += 1
     return Tournament(beats)
 
 

@@ -9,7 +9,11 @@ the top cycle, found by comparing bitset reach-sets. TEQ also lies in the
 uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is inside
 the uncovered set), so a covered top-cycle member is in no terminal SCC.
 The recursion therefore only descends into dominator subsets of uncovered
-top-cycle members, memoised by subset bitmask. TEQ is also neutral: an
+top-cycle members, memoised by subset bitmask. Two cases need no recursion:
+a subset of one or two members is its Condorcet winner, and a top cycle of
+four or more members with exactly three uncovered members has those three
+as its one minimal set, since there every minimal set has at least three
+members (proof at ``_minimal_sets``). TEQ is also neutral: an
 automorphism maps TEQ of a set onto TEQ of its image. So on a large regular
 top cycle, where no member is covered, the recursion runs once for the
 lowest member, and the successors of every member found in its orbit are
@@ -68,14 +72,18 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
     Closure stops at the first non-candidate reached: a terminal SCC holds
     everything its members reach, so a reach-set holding a non-candidate
     never equals its group of candidates and no vertex that reaches one is
-    reported. Output sorted by smallest member.
+    reported. Output ordered by smallest member: candidates are visited in
+    ascending order, so a component's key is inserted at its smallest member.
     """
     outside = ~candidates
     reach: dict[int, AltSet] = {}
     groups: dict[AltSet, AltSet] = {}  # reach-set -> the vertices that have it
-    for v in iter_members(candidates):
+    rest = candidates
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
         seen = closed = 0
-        todo = 1 << v
+        todo = bit
         while todo and not seen & outside:
             low = todo & -todo
             w = low.bit_length() - 1
@@ -83,9 +91,9 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
             seen |= done | succ[w]
             closed |= done
             todo = seen & ~closed
-        reach[v] = seen
-        groups[seen] = groups.get(seen, 0) | 1 << v
-    return sorted((r for r, g in groups.items() if g == r), key=lambda m: m & -m)
+        reach[bit.bit_length() - 1] = seen
+        groups[seen] = groups.get(seen, 0) | bit
+    return [r for r, g in groups.items() if g == r]
 
 
 def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
@@ -121,11 +129,19 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     most three members (a Condorcet winner or a 3-cycle) is the only one.
     A regular top cycle of at least ``_ORBIT_MIN_SIZE`` members takes its
     successors from ``_orbit_successors``, which shares one recursion across
-    an orbit of its automorphism group. Otherwise successors are built only
-    for the uncovered members: v is covered when a member y beats v and
-    everything v beats in ``top``. TEQ lies in the uncovered set (Schwartz
-    1990), so a covered member is in no terminal SCC, and neither is any
-    member that reaches one.
+    an orbit of its automorphism group. Otherwise only the uncovered members
+    count: v is covered when a member y beats v and everything v beats in
+    ``top``. TEQ lies in the uncovered set (Schwartz 1990), so a covered
+    member is in no terminal SCC, and neither is any member that reaches one.
+
+    Three uncovered members are the one minimal set, with no recursion. In a
+    top cycle of at least four members every member has a dominator, so a
+    minimal set has at least three members: {x} is not retentive, since
+    TEQ(dominators of x) is nonempty and excludes x; nor is {x, y} with x
+    beating y, since TEQ(dominators of x) is nonempty and excludes both. The
+    minimal sets are disjoint and lie in the uncovered set, so three
+    uncovered members form the only one. Otherwise successors are built for
+    the uncovered members alone.
     """
     size = top.bit_count()
     if size <= 3:
@@ -136,19 +152,30 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
             and (beats[(top & -top).bit_length() - 1] & top).bit_count() == size >> 1
             and all((beats[v] & top).bit_count() == size >> 1 for v in iter_members(top))):
         return _terminal_scc_masks(_orbit_successors(dom_of, beats, table, top, deadline), top)
-    succ = {}
     uncovered = 0
-    for v in iter_members(top):
+    rest = top
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
         # covers ends as the members of top that beat v and all that v beats
-        dom = covers = dom_of[v] & top
-        rest = beats[v] & top
-        while rest and covers:
-            low = rest & -rest
+        covers = dom_of[v] & top
+        wins = beats[v] & top
+        while wins and covers:
+            low = wins & -wins
             covers &= dom_of[low.bit_length() - 1]
-            rest ^= low
+            wins ^= low
         if not covers:
-            succ[v] = _teq_rec(dom_of, beats, table, dom, deadline)
-            uncovered |= 1 << v
+            uncovered |= bit
+    if uncovered.bit_count() == 3:
+        return [uncovered]
+    succ = {}
+    rest = uncovered
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        v = bit.bit_length() - 1
+        succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
     return _terminal_scc_masks(succ, uncovered)
 
 
@@ -205,15 +232,18 @@ def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[
              subset: AltSet, deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
-    TEQ lies inside the top cycle, so only the top cycle is searched and its
-    memo entry is shared by every subset with the same top cycle.
+    A subset of one or two members is its Condorcet winner. Otherwise TEQ
+    lies inside the top cycle, so only the top cycle is searched and its memo
+    entry is shared by every subset with the same top cycle.
     """
     cached = table.get(subset)
     if cached is not None:
         return cached
-    if subset & (subset - 1) == 0:
-        table[subset] = subset
-        return subset
+    low = subset & -subset
+    high = subset ^ low
+    if high & (high - 1) == 0:
+        result = table[subset] = high if high and not beats[low.bit_length() - 1] & high else low
+        return result
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
     top = _top_cycle(dom_of, subset)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import teqtools
+from teqtools import search
 from teqtools.cli import main
 from teqtools.core import is_isomorphism, members, parse, random_tournament, restrict, serialize
 
@@ -276,6 +277,27 @@ class TestSearchCommand:
                      "--witness-dir", str(out_dir)]) == 0
         assert out_dir.is_dir()
         assert list(out_dir.iterdir()) == []
+
+    def test_unusable_witness_dir_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+
+        def no_search(config):
+            raise AssertionError("search ran before the witness directory was made")
+
+        monkeypatch.setattr(search, "search_random", no_search)
+        assert main(["search", "--order", "13", "--trials", "300", "--seed", "1",
+                     "--witness-dir", str(afile / "sub")]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("teqtools: error: ")
+        assert "Not a directory" in captured.err
+
+    def test_bad_value_with_witness_dir_is_a_usage_error(self, capsys, tmp_path):
+        out_dir = tmp_path / "wit"
+        assert main(["search", "--order", "10", "--trials", "1", "--seed", "0",
+                     "--mode", "structured", "--witness-dir", str(out_dir)]) == 2
+        assert not out_dir.exists()
 
 
 class TestUsageErrors:

@@ -365,9 +365,9 @@ class TestRandomTournament:
         # the first output of the reference splitmix64 generator seeded with 0
         assert derive_seed(0, 0) == 0xE220A8397B1DCDAF
 
-    @pytest.mark.parametrize("seed", [0, 1, 2013, 2**63 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("seed", [0, 1, 2013, 2**63 + 5, 2**64 - 1, -2013])
     def test_matches_documented_definition(self, seed):
-        for order in range(1, 25):
+        for order in [*range(1, 25), 31, 32, 33, 63, 64]:
             pairs = itertools.combinations(range(order), 2)
             beats = [0] * order
             for k, (i, j) in enumerate(pairs):

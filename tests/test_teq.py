@@ -6,7 +6,7 @@ import types
 import teqtools.teq as teq_module
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from teqtools.core import (
@@ -322,6 +322,30 @@ class TestUncoveredPruning:
             cases.append(relabel(circulant(n, connection), rng.sample(range(n), n)))
         for t in cases:
             assert minimal_retentive_sets(t) == unpruned_minimal_sets(t), t.beats
+
+
+class TestSmallShortcuts:
+    """Settled with no recursion: a pair is its winner, three uncovered top members the minimal set."""
+
+    @given(seed=seeds, order=st.integers(4, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_three_uncovered_members_are_the_minimal_set(self, seed, order):
+        t = random_tournament(order, seed)
+        top = top_cycle(t, full_set(order))
+        assume(top.bit_count() >= 4 and uncovered(t, top).bit_count() == 3)
+        cache = TeqCache(t)
+        assert minimal_retentive_sets(t, cache) == bruteforce_minimal_retentive_sets(t)
+        # nothing was memoised, so no dominator set was recursed into
+        assert cache.table == {}
+
+    @pytest.mark.parametrize("source", ["instance", "random64"])
+    def test_pair_is_its_winner(self, big_t, source):
+        t = big_t if source == "instance" else random_tournament(64, 64)
+        cache = TeqCache(t)
+        for i in range(t.order):
+            for j in range(i + 1, t.order):
+                winner = i if t.dominates(i, j) else j
+                assert teq_of_subset(cache, 1 << i | 1 << j) == 1 << winner, (i, j)
 
 
 def z3_regular(reversed_at, first):
