@@ -7,6 +7,8 @@ arithmetic up to the order cap of 64.
 
 from __future__ import annotations
 
+import time
+from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -45,6 +47,10 @@ def full_set(order: int) -> AltSet:
 
 class FormatError(ValueError):
     """Tournament text does not conform to the file format."""
+
+
+class DeadlineExceeded(Exception):
+    """A computation ran past its deadline, a ``time.monotonic()`` cutoff."""
 
 
 class _PairError(ValueError):
@@ -101,6 +107,26 @@ class Tournament:
         object.__setattr__(self, "beats", beats)
         object.__setattr__(self, "dom_of", tuple(dom))
 
+    @classmethod
+    def _trusted(cls, beats: Sequence[AltSet]) -> Tournament:
+        """A tournament from rows that are valid by construction, without the pair check.
+
+        Every other alternative either beats i or is beaten by it, so
+        ``dom_of[i]`` is the universe without i and ``beats[i]``. For callers
+        in this package that build the rows themselves; input from outside
+        goes through ``Tournament(...)``.
+        """
+        beats = tuple(beats)
+        universe = (1 << len(beats)) - 1
+        t = object.__new__(cls)
+        object.__setattr__(t, "order", len(beats))
+        object.__setattr__(t, "beats", beats)
+        # from a list, not a generator: a tuple built from a generator starts
+        # small and is resized, and over a search run that left ~1 MB more
+        # peak memory (CPython 3.11)
+        object.__setattr__(t, "dom_of", tuple([universe ^ row ^ (1 << i) for i, row in enumerate(beats)]))
+        return t
+
     def __setattr__(self, name, value):
         raise AttributeError("Tournament is immutable")
 
@@ -141,7 +167,7 @@ def restrict(t: Tournament, subset: AltSet) -> tuple[Tournament, tuple[int, ...]
     for v in verts:
         row = t.beats[v]
         beats.append(altset(k for k, w in enumerate(verts) if (row >> w) & 1))
-    return Tournament(beats), tuple(verts)
+    return Tournament._trusted(beats), tuple(verts)
 
 
 def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool:
@@ -174,26 +200,29 @@ def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:
 
 
 def _match(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-           cells_b: list[AltSet]) -> list[int] | None:
+           cells_b: list[AltSet], deadline: float | None = None) -> list[int] | None:
     """A dominance-preserving bijection mapping cells_a[k] onto cells_b[k] for every k, or None.
 
     Both sides carry an ordered partition, cell k of a standing for cell k of
     b; only the union of the cells is matched, and ``mapping[v]`` is the image
-    of v for v in that union. Refinement splits every cell by each member's
-    out-degree into every cell until no cell splits, and the two sides must
-    split alike (same keys, same sizes). While a cell has several members,
-    the lowest member of a's first smallest such cell is paired with each
-    member of b's matching cell in turn, and the search refines and recurses.
-    A discrete partition is accepted only if the bijection it defines
-    preserves dominance on the union.
+    of v for v in that union. ``_refine`` splits the cells of both sides in
+    lockstep until the partition is equitable, and the two sides must split
+    alike. While a cell has several members, the lowest member of a's first
+    smallest such cell is paired with each member of b's matching cell in
+    turn, and the search refines and recurses. A discrete partition is
+    accepted only if the bijection it defines preserves dominance on the
+    union. ``deadline`` is a ``time.monotonic()`` cutoff checked once per
+    node of the search; past it ``DeadlineExceeded`` is raised.
     """
     refined = _refine(beats_a, beats_b, cells_a, cells_b)
-    return None if refined is None else _individualise(beats_a, beats_b, *refined)
+    return None if refined is None else _individualise(beats_a, beats_b, *refined, deadline)
 
 
 def _individualise(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-                   cells_b: list[AltSet]) -> list[int] | None:
+                   cells_b: list[AltSet], deadline: float | None) -> list[int] | None:
     """``_match`` on partitions that refinement no longer splits."""
+    if deadline is not None and time.monotonic() >= deadline:
+        raise DeadlineExceeded
     sizes = [c.bit_count() for c in cells_a]
     if max(sizes) == 1:
         mapping = [0] * len(beats_a)
@@ -209,7 +238,7 @@ def _individualise(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a
         refined = _refine(beats_a, beats_b, fixed_a,
                           cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:])
         if refined is not None:
-            found = _individualise(beats_a, beats_b, *refined)
+            found = _individualise(beats_a, beats_b, *refined, deadline)
             if found is not None:
                 return found
     return None
@@ -239,37 +268,78 @@ def _map_set(mapping: Sequence[int], s: AltSet) -> AltSet:
 
 def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
             cells_b: list[AltSet]) -> tuple[list[AltSet], list[AltSet]] | None:
-    # Both sides split in lockstep; the first cell whose keys or part sizes
-    # differ proves that no isomorphism maps cells_a[k] to cells_b[k] for all k.
-    while True:
-        next_a: list[AltSet] = []
-        next_b: list[AltSet] = []
-        for ca, cb in zip(cells_a, cells_b):
-            if not ca & (ca - 1):
-                next_a.append(ca)
-                next_b.append(cb)
-                continue
-            parts_a = _split(beats_a, ca, cells_a)
-            parts_b = _split(beats_b, cb, cells_b)
-            if len(parts_a) != len(parts_b):
-                return None
-            for (key_a, part_a), (key_b, part_b) in zip(parts_a, parts_b):
-                if key_a != key_b or part_a.bit_count() != part_b.bit_count():
+    """The coarsest equitable refinement of both partitions, split in lockstep, or None.
+
+    A FIFO queue holds the indices of the cells still to be used as
+    splitters, every cell at the start. A splitter S splits each cell of
+    several members by each member's out-degree into S, parts in ascending
+    key: the first part keeps the cell's index, the others are appended and
+    queued, and the cell is queued again unless it is already waiting. A
+    singleton splitter {u} splits a cell c into ``c & beats[u]`` (key 0) and
+    the rest (key 1), so it costs two ANDs and a size comparison per cell.
+    Singleton cells never split again, so only the cells of several members
+    are visited. Refinement ends when the queue is empty or every cell is a
+    singleton. The partition is then equitable: every member of a cell has
+    the same out-degree into every cell.
+
+    Cell k of b splits exactly as cell k of a does (same keys, same part
+    sizes) or no isomorphism maps cells_a[k] onto cells_b[k] for all k, and
+    the result is None. The cells are those of a round-by-round refinement
+    against every cell, in another order.
+    """
+    cells_a, cells_b = list(cells_a), list(cells_b)
+    queue = deque(range(len(cells_a)))
+    waiting = [True] * len(cells_a)
+    wide = [k for k, c in enumerate(cells_a) if c & (c - 1)]  # cells of several members
+    while queue and wide:
+        s = queue.popleft()
+        waiting[s] = False
+        splitter_a, splitter_b = cells_a[s], cells_b[s]
+        singleton = not splitter_a & (splitter_a - 1)
+        if singleton:
+            row_a = beats_a[splitter_a.bit_length() - 1]
+            row_b = beats_b[splitter_b.bit_length() - 1]
+        still_wide = []
+        for k in wide:
+            ca, cb = cells_a[k], cells_b[k]
+            if singleton:
+                lost_a, lost_b = ca & row_a, cb & row_b
+                if lost_a.bit_count() != lost_b.bit_count():
                     return None
-                next_a.append(part_a)
-                next_b.append(part_b)
-        if len(next_a) == len(cells_a):
-            return next_a, next_b
-        cells_a, cells_b = next_a, next_b
+                if not lost_a or lost_a == ca:
+                    still_wide.append(k)
+                    continue
+                parts_a, parts_b = [lost_a, ca ^ lost_a], [lost_b, cb ^ lost_b]
+            else:
+                keyed_a, keyed_b = _split(beats_a, ca, splitter_a), _split(beats_b, cb, splitter_b)
+                if [(key, p.bit_count()) for key, p in keyed_a] != [(key, p.bit_count()) for key, p in keyed_b]:
+                    return None
+                if len(keyed_a) == 1:
+                    still_wide.append(k)
+                    continue
+                parts_a, parts_b = [p for _, p in keyed_a], [p for _, p in keyed_b]
+            cells_a[k], cells_b[k] = parts_a[0], parts_b[0]
+            if parts_a[0] & (parts_a[0] - 1):
+                still_wide.append(k)
+            if not waiting[k]:
+                waiting[k] = True
+                queue.append(k)
+            for part_a, part_b in zip(parts_a[1:], parts_b[1:]):
+                if part_a & (part_a - 1):
+                    still_wide.append(len(cells_a))
+                queue.append(len(cells_a))
+                waiting.append(True)
+                cells_a.append(part_a)
+                cells_b.append(part_b)
+        wide = still_wide
+    return cells_a, cells_b
 
 
-def _split(beats: Sequence[AltSet], cell: AltSet,
-           cells: list[AltSet]) -> list[tuple[tuple[int, ...], AltSet]]:
-    """Parts of ``cell`` by out-degree into each of ``cells``, in key order."""
-    parts: dict[tuple[int, ...], AltSet] = {}
+def _split(beats: Sequence[AltSet], cell: AltSet, splitter: AltSet) -> list[tuple[int, AltSet]]:
+    """Parts of ``cell`` by each member's out-degree into ``splitter``, in key order."""
+    parts: dict[int, AltSet] = {}
     for v in iter_members(cell):
-        row = beats[v]
-        key = tuple((row & c).bit_count() for c in cells)
+        key = (beats[v] & splitter).bit_count()
         parts[key] = parts.get(key, 0) | (1 << v)
     return sorted(parts.items())
 
@@ -317,7 +387,7 @@ def random_tournament(order: int, seed: int) -> Tournament:
                 beats[i] |= 1 << j
             else:
                 beats[j] |= 1 << i
-    return Tournament(beats)
+    return Tournament._trusted(beats)
 
 
 def parse(text: str) -> Tournament:

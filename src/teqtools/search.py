@@ -90,7 +90,7 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
             beats[v] |= x1
         else:
             beats[v] |= x2
-    return Tournament(beats)
+    return Tournament._trusted(beats)
 
 
 def search_random(config: SearchConfig) -> SearchReport:

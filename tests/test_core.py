@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from teqtools.core import (
     FormatError,
     Tournament,
+    _refine,
     altset,
     derive_seed,
     dominators,
@@ -20,6 +21,7 @@ from teqtools.core import (
     restrict,
     serialize,
 )
+from teqtools.search import compose_structured
 
 from conftest import all_tournaments, circulant, cycle_tournament, flip_edge, relabel, transitive_tournament
 
@@ -144,6 +146,35 @@ class TestRestrict:
                     assert sub.dominates(i, j) == t.dominates(mapping[i], mapping[j])
 
 
+class TestTrustedConstruction:
+    """Generated tournaments skip the pair check; they must equal the validated construction."""
+
+    @staticmethod
+    def assert_validated(t):
+        validated = Tournament(t.beats)
+        assert (t.order, t.beats, t.dom_of) == (validated.order, validated.beats, validated.dom_of)
+
+    def test_random_tournament(self):
+        for order in range(1, 65):
+            for k in range(50):
+                self.assert_validated(random_tournament(order, derive_seed(order, k)))
+
+    def test_compose_structured(self):
+        for half_order in range(2, 33, 2):
+            for k in range(50):
+                half = random_tournament(half_order, derive_seed(half_order, k))
+                self.assert_validated(compose_structured(half, half_order // 2))
+
+    def test_restrict(self):
+        rng = random.Random(2013)
+        for order in range(1, 65):
+            t = random_tournament(order, order)
+            for _ in range(50):
+                subset = rng.getrandbits(order) or 1
+                sub, _ = restrict(t, subset)
+                self.assert_validated(sub)
+
+
 def brute_force_isomorphism(a, b):
     """Oracle: scan all permutations."""
     if a.order != b.order:
@@ -244,6 +275,14 @@ class TestFindIsomorphism:
         assert witness is not None
         assert is_isomorphism(t, relabeled, witness)
 
+    def test_relabelled_order_64_found(self):
+        # masks wider than 32 bits, at the order cap
+        t = random_t(64, 2013)
+        relabelled = relabel(t, random.Random(64).sample(range(64), 64))
+        witness = find_isomorphism(t, relabelled)
+        assert witness is not None
+        assert is_isomorphism(t, relabelled, witness)
+
     @given(seed_a=seeds, seed_b=seeds, order=st.integers(1, 6))
     @settings(max_examples=60)
     def test_agrees_with_permutation_scan(self, seed_a, seed_b, order):
@@ -290,14 +329,15 @@ class TestFindIsomorphism:
         if got is not None:
             assert is_isomorphism(a, b, got)
 
-    @pytest.mark.parametrize("p", [19, 23, 29, 31, 37])
+    # 59 and 61 need masks wider than 32 bits
+    @pytest.mark.parametrize("p", [19, 23, 29, 31, 37, 59, 61])
     def test_relabelled_circulants_against_multiplier_criterion(self, p):
         rng = random.Random(p)
         s = random_connection_set(rng, p)
         unit = rng.randrange(2, p)
         pairs = [(s, tuple(unit * x % p for x in s))]
         pairs += [(s, random_connection_set(rng, p)) for _ in range(2)]
-        if p in (19, 23, 31):
+        if p in (19, 23, 31, 59):
             paley = quadratic_residues(p)
             non_paley = paley[:-1] + (p - paley[-1],)
             pairs += [(paley, paley), (paley, non_paley)]
@@ -336,6 +376,57 @@ class TestFindIsomorphism:
         identity = tuple(range(12))
         assert list(score_class_isomorphisms(tx, ty)) == [identity]
         assert find_isomorphism(tx, ty) == identity
+
+
+def refine_by_rounds(beats_a, beats_b, cells_a, cells_b):
+    """Reference refinement: each round splits every cell by each member's
+    out-degree into every cell, until a round splits nothing; the two sides
+    split in lockstep, and None means some cell split differently."""
+    def split(beats, cell, cells):
+        parts = {}
+        for v in members(cell):
+            key = tuple((beats[v] & c).bit_count() for c in cells)
+            parts[key] = parts.get(key, 0) | (1 << v)
+        return sorted(parts.items())
+
+    while True:
+        next_a, next_b = [], []
+        for ca, cb in zip(cells_a, cells_b):
+            parts_a, parts_b = split(beats_a, ca, cells_a), split(beats_b, cb, cells_b)
+            if [(k, p.bit_count()) for k, p in parts_a] != [(k, p.bit_count()) for k, p in parts_b]:
+                return None
+            next_a += [p for _, p in parts_a]
+            next_b += [p for _, p in parts_b]
+        if len(next_a) == len(cells_a):
+            return next_a, next_b
+        cells_a, cells_b = next_a, next_b
+
+
+class TestRefine:
+    """The splitter-queue refinement against the round-by-round reference."""
+
+    @given(order=st.integers(1, 20), seed=seeds, kind=st.sampled_from(["random", "circulant"]),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_cells_as_reference(self, order, seed, kind, data):
+        # circulants are regular, so refinement starts only from individualised members
+        if kind == "circulant" and order % 2:
+            rng = random.Random(seed)
+            a = circulant(order, random_connection_set(rng, order))
+        else:
+            a = random_t(order, seed)
+        perm = data.draw(st.permutations(range(order)))
+        b = relabel(a, perm)
+        picked = data.draw(st.lists(st.integers(0, order - 1), max_size=2, unique=True))
+        cells_a = [1 << v for v in picked] + [full_set(order) ^ altset(picked)]
+        cells_a = [c for c in cells_a if c]
+        image = [altset(perm[v] for v in members(c)) for c in cells_a]
+        got = _refine(a.beats, b.beats, cells_a, image)
+        expected = refine_by_rounds(a.beats, b.beats, cells_a, image)
+        assert got is not None and expected is not None
+        got_a, got_b = got
+        assert sorted(got_a) == sorted(expected[0])
+        assert got_b == [altset(perm[v] for v in members(c)) for c in got_a]
 
 
 class TestRandomTournament:

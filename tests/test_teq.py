@@ -3,6 +3,8 @@ import random
 import time
 import types
 
+import teqtools
+import teqtools.core as core_module
 import teqtools.teq as teq_module
 
 import pytest
@@ -435,6 +437,16 @@ class TestOrbitSharing:
         with pytest.raises(DeadlineExceeded):
             teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(31))
 
+    def test_expired_deadline_raises_inside_automorphism_search(self):
+        # with the memo warm, the recursion returns at once and only the
+        # automorphism search can notice the deadline
+        t = relabelled_paley(31)
+        cache = TeqCache(t)
+        minimal_retentive_sets(t, cache)
+        with pytest.raises(DeadlineExceeded):
+            teq_module._orbit_successors(t.dom_of, t.beats, cache.table, full_set(31),
+                                         time.monotonic() - 1)
+
 
 class TestIsRetentive:
     def test_full_set_always(self):
@@ -581,6 +593,16 @@ class TestDeadline:
             teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(6))
         with pytest.raises(DeadlineExceeded):
             minimal_retentive_sets(t, TeqCache(t, deadline=time.monotonic() - 1))
+
+    def test_expired_deadline_raises_in_match(self):
+        t = relabelled_paley(31)
+        everyone = full_set(31)
+        assert core_module._match(t.beats, t.beats, [everyone], [everyone]) is not None
+        with pytest.raises(DeadlineExceeded):
+            core_module._match(t.beats, t.beats, [everyone], [everyone], time.monotonic() - 1)
+
+    def test_one_class_everywhere(self):
+        assert DeadlineExceeded is core_module.DeadlineExceeded is teqtools.DeadlineExceeded
 
     def test_unset_deadline_is_unlimited(self, big_t):
         assert teq_of_subset(TeqCache(big_t, deadline=None), full_set(24))
