@@ -9,7 +9,13 @@ the top cycle, found by comparing bitset reach-sets. TEQ also lies in the
 uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is inside
 the uncovered set), so a covered top-cycle member is in no terminal SCC.
 The recursion therefore only descends into dominator subsets of uncovered
-top-cycle members, memoised by subset bitmask. Two cases need no recursion:
+top-cycle members, memoised by subset bitmask, and only of those that can
+matter: it explores the lowest uncovered member and every uncovered member
+its successors reach, and explores the next unexplored one only while the
+unexplored uncovered members U could still hold a minimal set, that is
+while |U| >= 3 and no top-cycle member beats all of U. A retentive set is
+dominant (proof at ``_minimal_sets``), so a minimal set inside U would be
+beaten by no outsider. Two cases need no recursion:
 a subset of one or two members is its Condorcet winner, and a top cycle of
 four or more members with exactly three uncovered members has those three
 as its one minimal set, since there every minimal set has at least three
@@ -137,8 +143,24 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     TEQ(dominators of x) is nonempty and excludes x; nor is {x, y} with x
     beating y, since TEQ(dominators of x) is nonempty and excludes both. The
     minimal sets are disjoint and lie in the uncovered set, so three
-    uncovered members form the only one. Otherwise successors are built for
-    the uncovered members alone.
+    uncovered members form the only one.
+
+    Otherwise successors are built lazily (``_lazy_successors``): for the
+    lowest uncovered member, then for every uncovered member they reach, so
+    an explored member's whole reach is explored and whether it lies in a
+    terminal SCC is settled. A minimal set not yet found lies in the
+    unexplored uncovered members U, so it has at least three members, and it
+    is dominant in ``top``: no member of ``top`` outside it beats all of it.
+    The next unexplored member is explored only while |U| >= 3 and no member
+    of ``top`` beats all of U; otherwise U holds no minimal set.
+
+    Lemma: a TEQ-retentive set R of a tournament S is dominant, i.e. every y
+    in S outside R is beaten by some member of R. By induction on |S|; for
+    |S| = 1, R = S. Suppose y outside R beats all of R, and take x in R.
+    Then y is in dom(x), so TEQ(dom(x)) lies in R. As a union of retentive
+    sets of dom(x) it is itself retentive there, and y, a member of dom(x)
+    outside it, beats all of it. That contradicts the hypothesis for dom(x),
+    which is smaller than S.
     """
     size = top.bit_count()
     if size <= 3:
@@ -166,14 +188,46 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
             uncovered |= bit
     if uncovered.bit_count() == 3:
         return [uncovered]
+    return _terminal_scc_masks(*_lazy_successors(dom_of, beats, table, top, uncovered, deadline))
+
+
+def _lazy_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
+                     table: dict[AltSet, AltSet], top: AltSet, uncovered: AltSet,
+                     deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
+    """Successors of the uncovered members of ``top`` that can matter, and those members.
+
+    Explores the lowest unexplored uncovered member, then every uncovered
+    member its successors reach; covered members are never expanded. It
+    repeats while the unexplored uncovered members U could still hold a
+    minimal set: |U| >= 3 and no member of ``top`` beats all of U (see
+    ``_minimal_sets``). Returns the successors and the explored members, the
+    candidates for ``_terminal_scc_masks``: an explored member reaches only
+    explored and covered members, so its status is settled.
+    """
     succ = {}
-    rest = uncovered
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        v = bit.bit_length() - 1
-        succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
-    return _terminal_scc_masks(succ, uncovered)
+    explored = 0
+    unexplored = uncovered
+    while True:
+        todo = unexplored & -unexplored
+        while todo:
+            bit = todo & -todo
+            explored |= bit
+            v = bit.bit_length() - 1
+            found = succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
+            todo = (todo | found & uncovered) & ~explored
+        unexplored = uncovered & ~explored
+        if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, top, unexplored):
+            return succ, explored
+
+
+def _beaten_by_one(dom_of: tuple[AltSet, ...], top: AltSet, group: AltSet) -> bool:
+    """Whether one member of ``top`` beats every member of the nonempty ``group``."""
+    common = top
+    while group and common:
+        low = group & -group
+        common &= dom_of[low.bit_length() - 1]
+        group ^= low
+    return common != 0
 
 
 def _orbit_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],

@@ -3,10 +3,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 import teqtools
 from teqtools.core import Tournament, altset, members
 from teqtools.counterexample import GOLDEN_FILE, build_counterexample
+
+# A falsified property test prints its @reproduce_failure blob, so a failure
+# seen only in CI can be replayed locally. Loaded before any test module, so
+# every @settings inherits it.
+settings.register_profile("teqtools", print_blob=True)
+settings.load_profile("teqtools")
 
 
 def cycle_tournament(n):

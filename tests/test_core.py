@@ -2,12 +2,13 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teqtools.core import (
     FormatError,
     Tournament,
+    _preserves,
     _refine,
     altset,
     derive_seed,
@@ -427,6 +428,47 @@ class TestRefine:
         got_a, got_b = got
         assert sorted(got_a) == sorted(expected[0])
         assert got_b == [altset(perm[v] for v in members(c)) for c in got_a]
+
+
+def preserves_bit_by_bit(beats_a, beats_b, cells_a, cells_b, mapping):
+    """Reference for ``_preserves``: each out-neighbourhood in the union, mapped member by member."""
+    union_a, union_b = sum(cells_a), sum(cells_b)
+    return all(altset(mapping[w] for w in members(beats_a[v] & union_a))
+               == beats_b[mapping[v]] & union_b
+               for v in (c.bit_length() - 1 for c in cells_a))
+
+
+class TestPreserves:
+    """The packed-row dominance check of a discrete leaf against the bit-by-bit reference."""
+
+    @given(order=st.integers(1, 64), seed=seeds, draw=st.integers(0, 2**32),
+           whole=st.booleans(), broken=st.booleans())
+    @example(order=64, seed=2013, draw=0, whole=True, broken=False)
+    @example(order=64, seed=2013, draw=1, whole=True, broken=True)
+    @example(order=64, seed=64, draw=2, whole=False, broken=False)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_bit_by_bit(self, order, seed, draw, whole, broken):
+        # b is a relabelling of a; the mapping is the relabelling on the union,
+        # or that with the images of two union members swapped
+        rng = random.Random(draw)
+        a = random_t(order, seed)
+        perm = rng.sample(range(order), order)
+        b = relabel(a, perm)
+        union = full_set(order) if whole else rng.getrandbits(order) | 1 << rng.randrange(order)
+        union_members = members(union)
+        mapping = [0] * order
+        for v in union_members:
+            mapping[v] = perm[v]
+        if broken and len(union_members) > 1:
+            x, y = rng.sample(union_members, 2)
+            mapping[x], mapping[y] = mapping[y], mapping[x]
+        rng.shuffle(union_members)
+        cells_a = [1 << v for v in union_members]
+        cells_b = [1 << mapping[v] for v in union_members]
+        got = _preserves(a.beats, b.beats, cells_a, cells_b, mapping)
+        assert got == preserves_bit_by_bit(a.beats, b.beats, cells_a, cells_b, mapping)
+        if not broken:
+            assert got
 
 
 class TestRandomTournament:

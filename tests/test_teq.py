@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 import time
 import types
@@ -8,12 +9,13 @@ import teqtools.core as core_module
 import teqtools.teq as teq_module
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teqtools.core import (
     Tournament,
     altset,
+    derive_seed,
     full_set,
     members,
     random_tournament,
@@ -24,6 +26,7 @@ from teqtools.teq import (
     DeadlineExceeded,
     TeqCache,
     _ORBIT_MIN_SIZE,
+    _beaten_by_one,
     _terminal_scc_masks,
     bruteforce_minimal_retentive_sets,
     is_retentive,
@@ -38,6 +41,7 @@ from conftest import (
     all_tournaments,
     circulant,
     cycle_tournament,
+    flip_edge,
     paley_tournament,
     random_regular,
     relabel,
@@ -98,6 +102,50 @@ def unpruned_minimal_sets(t):
         return memo[subset]
 
     return minimal_sets(full_set(t.order))
+
+
+def three_uncovered_tournament(order, seed):
+    """The first random_tournament(order, derive_seed(seed, k)), k = 0, 1, ..., whose top
+    cycle has at least four members and exactly three uncovered ones.
+
+    About 4% of order-9 tournaments qualify (37% at order 4), so 1,000 draws
+    all miss with probability below 1e-16.
+    """
+    for k in range(1000):
+        t = random_tournament(order, derive_seed(seed, k))
+        top = top_cycle(t, full_set(order))
+        if top.bit_count() >= 4 and uncovered(t, top).bit_count() == 3:
+            return t
+    raise AssertionError(f"no order-{order} draw from seed {seed} qualifies")
+
+
+def eager_successors(dom_of, beats, table, top, uncovered, deadline):
+    """Reference for ``_lazy_successors``: every uncovered member recurses, and all are candidates."""
+    succ = {v: teq_module._teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
+            for v in members(uncovered)}
+    return succ, uncovered
+
+
+def lazy_and_eager(t):
+    """(minimal sets, memo) of t, first as computed, then with ``eager_successors`` patched in."""
+    lazy = TeqCache(t)
+    lazy_sets = minimal_retentive_sets(t, lazy)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(teq_module, "_lazy_successors", eager_successors)
+        eager = TeqCache(t)
+        eager_sets = minimal_retentive_sets(t, eager)
+    return (lazy_sets, lazy.table), (eager_sets, eager.table)
+
+
+def retentive_sets(t):
+    """Every TEQ-retentive set of t by the definition, with oracle TEQ of each dominator set."""
+    inner = [0] * t.order
+    for v in range(t.order):
+        if t.dom_of[v]:
+            sub, mapping = restrict(t, t.dom_of[v])
+            inner[v] = altset(mapping[w] for w in members(teq_bruteforce(sub)))
+    return [x for x in range(1, 1 << t.order)
+            if all(inner[v] & ~x == 0 for v in members(x))]
 
 
 def relabelled_paley(p):
@@ -332,9 +380,7 @@ class TestSmallShortcuts:
     @given(seed=seeds, order=st.integers(4, 9))
     @settings(max_examples=100, deadline=None)
     def test_three_uncovered_members_are_the_minimal_set(self, seed, order):
-        t = random_tournament(order, seed)
-        top = top_cycle(t, full_set(order))
-        assume(top.bit_count() >= 4 and uncovered(t, top).bit_count() == 3)
+        t = three_uncovered_tournament(order, seed)
         cache = TeqCache(t)
         assert minimal_retentive_sets(t, cache) == bruteforce_minimal_retentive_sets(t)
         # nothing was memoised, so no dominator set was recursed into
@@ -348,6 +394,98 @@ class TestSmallShortcuts:
             for j in range(i + 1, t.order):
                 winner = i if t.dominates(i, j) else j
                 assert teq_of_subset(cache, 1 << i | 1 << j) == 1 << winner, (i, j)
+
+
+class TestLazyExploration:
+    """Successors are built only while the unexplored uncovered members could hold a minimal set."""
+
+    @staticmethod
+    def check(t):
+        (lazy_sets, lazy_memo), (eager_sets, eager_memo) = lazy_and_eager(t)
+        assert lazy_sets == eager_sets, t.beats
+        assert lazy_memo.keys() <= eager_memo.keys(), t.beats
+        assert all(eager_memo[key] == value for key, value in lazy_memo.items())
+        # a member of a minimal set has its successor memoised as before, so a
+        # following is_retentive recurses no more
+        top = top_cycle(t, full_set(t.order))
+        for v in members(sum(lazy_sets)):
+            assert (t.dom_of[v] & top in lazy_memo) == (t.dom_of[v] & top in eager_memo)
+        return len(lazy_memo), len(eager_memo)
+
+    @given(seed=seeds, order=st.integers(4, 40))
+    @settings(max_examples=80, deadline=None)
+    def test_random_against_eager(self, seed, order):
+        self.check(random_tournament(order, seed))
+
+    @given(seed=seeds, half=st.sampled_from(range(4, 17, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_structured_against_eager(self, seed, half):
+        self.check(compose_structured(random_tournament(half, seed), half // 2))
+
+    def test_instance_and_its_neighbours_against_eager(self, big_t):
+        self.check(big_t)
+        for a, b in itertools.combinations(range(24), 2):
+            self.check(flip_edge(big_t, a, b))
+        for gone in range(24):
+            self.check(restrict(big_t, full_set(24) ^ 1 << gone)[0])
+
+    def test_fewer_memo_entries_than_eager(self):
+        sizes = [self.check(random_tournament(23, derive_seed(23, k))) for k in range(40)]
+        lazy, eager = map(sum, zip(*sizes))
+        assert lazy < eager
+
+    @pytest.mark.parametrize("beats, explored", [
+        # 1, 5 and 3 reach only each other, and 3 beats 2, 4 and 6
+        ((8, 29, 81, 116, 33, 71, 19), [1, 3, 5]),
+        # 0, 7 and 1 reach only each other; no one beats all of 2, 3, 5 and 6,
+        # so 2 is explored, and then 2 beats 3, 5 and 6
+        ((318, 476, 104, 416, 268, 338, 25, 373, 68), [0, 1, 2, 7]),
+        # 0, 3 and 5 reach only each other; no one beats all of 1, 2 and 4
+        # (6 loses to all three), so 1 is explored, and two members are left
+        ((114, 116, 81, 71, 72, 28, 32), [0, 1, 3, 5]),
+    ])
+    def test_explores_until_the_rest_can_hold_no_minimal_set(self, beats, explored):
+        t = Tournament(beats)
+        top = top_cycle(t, full_set(t.order))
+        succ, got = teq_module._lazy_successors(t.dom_of, t.beats, {}, top, uncovered(t, top), None)
+        assert members(got) == sorted(succ) == explored
+        assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t)
+
+
+class TestDominance:
+    """A retentive set is dominant, so the exploration may stop once one member beats the rest."""
+
+    @given(seed=seeds, order=st.integers(2, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_every_retentive_set_is_dominant(self, seed, order):
+        t = random_tournament(order, seed)
+        for x in retentive_sets(t):
+            assert all(t.dom_of[y] & x for y in members(full_set(order) ^ x)), (t.beats, x)
+
+    def test_every_retentive_set_is_dominant_exhaustive(self):
+        for n in range(2, 6):
+            for t in all_tournaments(n):
+                for x in retentive_sets(t):
+                    assert all(t.dom_of[y] & x for y in members(full_set(n) ^ x)), (t.beats, x)
+
+    @pytest.mark.parametrize("outsider, beaten", [
+        (0b111, True),    # 3 beats the whole 3-cycle
+        (0b000, False),   # 3 loses to all three
+        (0b011, False),   # 3 beats two of them
+    ])
+    def test_three_cycle_and_an_outsider(self, outsider, beaten):
+        cycle = cycle_tournament(3).beats
+        t = Tournament([row | (0 if outsider >> v & 1 else 0b1000) for v, row in enumerate(cycle)]
+                       + [outsider])
+        assert _beaten_by_one(t.dom_of, full_set(4), 0b111) is beaten
+        # a member of the group never counts, so the whole set is beaten by none
+        assert _beaten_by_one(t.dom_of, full_set(4), full_set(4)) is False
+
+    def test_top_limits_who_may_beat(self):
+        t = transitive_tournament(4)  # i beats every j > i
+        assert _beaten_by_one(t.dom_of, 0b1110, 0b1100) is True
+        assert _beaten_by_one(t.dom_of, 0b1100, 0b1100) is False
+        assert _beaten_by_one(t.dom_of, full_set(4), 0b0001) is False
 
 
 def z3_regular(reversed_at, first):
