@@ -2,31 +2,30 @@
 
 TEQ(T) is the union of all inclusion-minimal TEQ-retentive sets of T, where a
 nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
-x in S that has dominators. These sets all lie in the top cycle of T (its
-least nonempty subset that dominates every alternative outside it) and are
-exactly the terminal SCCs of the relation graph x -> TEQ(dominators(x)) on
-the top cycle, found by comparing bitset reach-sets. TEQ also lies in the
-uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is inside
-the uncovered set), so a covered top-cycle member is in no terminal SCC.
-The recursion therefore only descends into dominator subsets of uncovered
-top-cycle members, memoised by subset bitmask, and only of those that can
-matter: it explores the lowest uncovered member and every uncovered member
-its successors reach, and explores the next unexplored one only while the
-unexplored uncovered members U could still hold a minimal set, that is
-while |U| >= 3 and no top-cycle member beats all of U. A retentive set is
-dominant (proof at ``_minimal_sets``), so a minimal set inside U would be
-beaten by no outsider. Two cases need no recursion:
-a subset of one or two members is its Condorcet winner, and a top cycle of
-four or more members with exactly three uncovered members has those three
-as its one minimal set, since there every minimal set has at least three
-members (proof at ``_minimal_sets``). TEQ is also neutral: an
-automorphism maps TEQ of a set onto TEQ of its image. So on a large regular
-top cycle, where no member is covered, the recursion runs once for the
-lowest member, and the successors of every member found in its orbit are
-that one mapped through an automorphism (individualisation-refinement,
-``core._match``) and stored in the memo too. ``teq_bruteforce`` is an
-independent oracle that transcribes the definition literally (subset
-enumeration, no SCC shortcut, no covering argument, no automorphisms).
+x in S that has dominators. These sets are exactly the terminal SCCs of the
+relation graph x -> TEQ(dominators(x)), found by comparing bitset
+reach-sets. TEQ lies in the uncovered set (Schwartz 1990: TEQ is inside the
+Banks set, which is inside the uncovered set), so a covered member is in no
+terminal SCC; the uncovered set also lies in the top cycle (the least
+nonempty part that dominates the rest), so one coverage pass over a subset
+does the top cycle's pruning too. The recursion therefore only descends into
+dominator subsets of uncovered members, memoised by subset bitmask, and only
+of those that can matter: it explores the lowest uncovered member and every
+uncovered member its successors reach, and explores the next unexplored one
+only while the unexplored uncovered members W could still hold a minimal
+set, that is while |W| >= 3 and no member beats all of W. A retentive set is
+dominant (proof at ``_minimal_sets``), so a minimal set inside W would be
+beaten by no outsider. Two cases need no recursion: a subset of one or two
+members is its Condorcet winner, and a subset with at most three uncovered
+members has them as its one minimal set (proof at ``_minimal_sets``). TEQ is
+also neutral: an automorphism maps TEQ of a set onto TEQ of its image. So
+when the uncovered members form a large regular tournament that beats every
+other member, the recursion runs once for the lowest member, and the
+successors of every member found in its orbit are that one mapped through
+an automorphism (individualisation-refinement, ``core._match``) and stored
+in the memo too. ``teq_bruteforce`` is an independent oracle that
+transcribes the definition literally (subset enumeration, no SCC shortcut,
+no covering argument, no automorphisms).
 """
 
 from __future__ import annotations
@@ -99,60 +98,55 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
     return [r for r, g in groups.items() if g == r]
 
 
-def _top_cycle(dom_of: tuple[AltSet, ...], subset: AltSet) -> AltSet:
-    """Top cycle of ``subset``: its least nonempty part that dominates the rest.
-
-    A member with the fewest dominators lies in it, and the top cycle is that
-    member plus everything that reaches it along dominance edges.
-    """
-    best = subset & -subset
-    fewest = dom_of[best.bit_length() - 1] & subset
-    rest = subset ^ best
-    while rest and fewest:
-        low = rest & -rest
-        d = dom_of[low.bit_length() - 1] & subset
-        if d.bit_count() < fewest.bit_count():
-            best, fewest = low, d
-        rest ^= low
-    top, todo = best | fewest, fewest
-    while todo:
-        low = todo & -todo
-        new = dom_of[low.bit_length() - 1] & subset & ~top
-        top |= new
-        todo = (todo ^ low) | new
-    return top
-
-
 def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
-                  table: dict[AltSet, AltSet], top: AltSet, deadline: float | None) -> list[AltSet]:
-    """Minimal retentive sets of a top cycle, ordered by smallest member.
+                  table: dict[AltSet, AltSet], subset: AltSet, deadline: float | None) -> list[AltSet]:
+    """Minimal retentive sets of ``subset``, ordered by smallest member.
 
-    They are the terminal SCCs of the relation graph x -> TEQ(dominators of x)
-    on ``top``, which holds every dominator of its members. A top cycle of at
-    most three members (a Condorcet winner or a 3-cycle) is the only one.
-    A regular top cycle of at least ``_ORBIT_MIN_SIZE`` members takes its
-    successors from ``_orbit_successors``, which shares one recursion across
-    an orbit of its automorphism group. Otherwise only the uncovered members
-    count: v is covered when a member y beats v and everything v beats in
-    ``top``. TEQ lies in the uncovered set (Schwartz 1990), so a covered
-    member is in no terminal SCC, and neither is any member that reaches one.
-
-    Three uncovered members are the one minimal set, with no recursion. In a
-    top cycle of at least four members every member has a dominator, so a
-    minimal set has at least three members: {x} is not retentive, since
-    TEQ(dominators of x) is nonempty and excludes x; nor is {x, y} with x
-    beating y, since TEQ(dominators of x) is nonempty and excludes both. The
-    minimal sets are disjoint and lie in the uncovered set, so three
-    uncovered members form the only one.
+    They are the terminal SCCs of the relation graph x -> TEQ(dominators of
+    x in ``subset``), and they lie in the uncovered set U: v is covered when
+    a member y beats v and everything v beats in ``subset``. TEQ lies in U
+    (Schwartz 1990), so a covered member is in no terminal SCC, and neither
+    is any member that reaches one. One pass finds U. A member with no
+    dominator is the Condorcet winner and the one minimal set. At most three
+    uncovered members are the one minimal set, with no recursion. When U has
+    at least ``_ORBIT_MIN_SIZE`` members, is regular and beats every member
+    outside it, its successors come from ``_orbit_successors``, which shares
+    one recursion across an orbit of its automorphism group.
 
     Otherwise successors are built lazily (``_lazy_successors``): for the
     lowest uncovered member, then for every uncovered member they reach, so
     an explored member's whole reach is explored and whether it lies in a
     terminal SCC is settled. A minimal set not yet found lies in the
-    unexplored uncovered members U, so it has at least three members, and it
-    is dominant in ``top``: no member of ``top`` outside it beats all of it.
-    The next unexplored member is explored only while |U| >= 3 and no member
-    of ``top`` beats all of U; otherwise U holds no minimal set.
+    unexplored uncovered members W, so it has at least three members, and it
+    is dominant in ``subset``: no member outside it beats all of it. The
+    next unexplored member is explored only while |W| >= 3 and no member of
+    ``subset`` beats all of W; otherwise W holds no minimal set.
+
+    Write TC for the top cycle of ``subset``: its least nonempty part that
+    dominates the rest. No member outside TC beats a member of TC.
+
+    U = UC(TC) and U lies in TC. An uncovered member u is a king: any w that
+    beats u fails to cover u, so some z beaten by u beats w. Hence u reaches
+    every member, and since nothing outside TC reaches TC, u is in TC. For v
+    in TC only members of TC beat v, and each of them beats everything
+    outside TC, so y covers v in ``subset`` iff y covers v in TC.
+
+    For v in TC, dom(v) in ``subset`` equals dom(v) in TC, since no outsider
+    beats v. So the successors of members of U are memoised under the same
+    keys whether the recursion starts from ``subset`` or from TC, and a
+    member beating all of some W inside U lies in TC.
+
+    Without a Condorcet winner every minimal set has at least three members:
+    {x} is not retentive, since TEQ(dominators of x) is nonempty and
+    excludes x; nor is {x, y} with x beating y, since TEQ(dominators of x) is
+    nonempty and excludes both. The minimal sets are disjoint and lie in U,
+    and there is at least one, so if |U| <= 3 then U is the only one.
+
+    No member of a regular tournament is covered, since a cover would score
+    higher. So if TC is regular, U = TC, and U beats every member outside
+    it. Conversely, if U beats every member outside it, U is dominant, so it
+    holds TC, which holds U; U = TC. Hence the orbit gate holds exactly when
+    the top cycle is regular with at least ``_ORBIT_MIN_SIZE`` members.
 
     Lemma: a TEQ-retentive set R of a tournament S is dominant, i.e. every y
     in S outside R is beaten by some member of R. By induction on |S|; for
@@ -162,44 +156,48 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     outside it, beats all of it. That contradicts the hypothesis for dom(x),
     which is smaller than S.
     """
-    size = top.bit_count()
-    if size <= 3:
-        return [top]
-    # regular needs an odd size and every score half of the rest; the lowest
-    # member's score is checked first, so most tops are rejected at once
-    if (size >= _ORBIT_MIN_SIZE and size & 1
-            and (beats[(top & -top).bit_length() - 1] & top).bit_count() == size >> 1
-            and all((beats[v] & top).bit_count() == size >> 1 for v in iter_members(top))):
-        return _terminal_scc_masks(_orbit_successors(dom_of, beats, table, top, deadline), top)
     uncovered = 0
-    rest = top
+    rest = subset
     while rest:
         bit = rest & -rest
         rest ^= bit
         v = bit.bit_length() - 1
-        # covers ends as the members of top that beat v and all that v beats
-        covers = dom_of[v] & top
-        wins = beats[v] & top
+        # covers ends as the members of subset that beat v and all that v beats
+        covers = dom_of[v] & subset
+        if not covers:
+            return [bit]
+        wins = beats[v] & subset
         while wins and covers:
             low = wins & -wins
             covers &= dom_of[low.bit_length() - 1]
             wins ^= low
         if not covers:
             uncovered |= bit
-    if uncovered.bit_count() == 3:
+    size = uncovered.bit_count()
+    if size <= 3:
         return [uncovered]
-    return _terminal_scc_masks(*_lazy_successors(dom_of, beats, table, top, uncovered, deadline))
+    # U is a regular top cycle iff it has odd size, each member beats half
+    # the rest of U and all outside it (proof above); the lowest member's
+    # score is checked first, so most sets are rejected at once
+    outside = subset ^ uncovered
+    if (size >= _ORBIT_MIN_SIZE and size & 1
+            and (beats[(uncovered & -uncovered).bit_length() - 1] & uncovered).bit_count() == size >> 1
+            and all((beats[v] & uncovered).bit_count() == size >> 1 and beats[v] & outside == outside
+                    for v in iter_members(uncovered))):
+        return _terminal_scc_masks(_orbit_successors(dom_of, beats, table, uncovered, deadline),
+                                   uncovered)
+    return _terminal_scc_masks(*_lazy_successors(dom_of, beats, table, subset, uncovered, deadline))
 
 
 def _lazy_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
-                     table: dict[AltSet, AltSet], top: AltSet, uncovered: AltSet,
+                     table: dict[AltSet, AltSet], subset: AltSet, uncovered: AltSet,
                      deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
-    """Successors of the uncovered members of ``top`` that can matter, and those members.
+    """Successors of the uncovered members of ``subset`` that can matter, and those members.
 
     Explores the lowest unexplored uncovered member, then every uncovered
     member its successors reach; covered members are never expanded. It
-    repeats while the unexplored uncovered members U could still hold a
-    minimal set: |U| >= 3 and no member of ``top`` beats all of U (see
+    repeats while the unexplored uncovered members W could still hold a
+    minimal set: |W| >= 3 and no member of ``subset`` beats all of W (see
     ``_minimal_sets``). Returns the successors and the explored members, the
     candidates for ``_terminal_scc_masks``: an explored member reaches only
     explored and covered members, so its status is settled.
@@ -213,16 +211,16 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
             bit = todo & -todo
             explored |= bit
             v = bit.bit_length() - 1
-            found = succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
+            found = succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & subset, deadline)
             todo = (todo | found & uncovered) & ~explored
         unexplored = uncovered & ~explored
-        if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, top, unexplored):
+        if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, subset, unexplored):
             return succ, explored
 
 
-def _beaten_by_one(dom_of: tuple[AltSet, ...], top: AltSet, group: AltSet) -> bool:
-    """Whether one member of ``top`` beats every member of the nonempty ``group``."""
-    common = top
+def _beaten_by_one(dom_of: tuple[AltSet, ...], subset: AltSet, group: AltSet) -> bool:
+    """Whether one member of ``subset`` beats every member of the nonempty ``group``."""
+    common = subset
     while group and common:
         low = group & -group
         common &= dom_of[low.bit_length() - 1]
@@ -284,9 +282,8 @@ def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[
              subset: AltSet, deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
-    A subset of one or two members is its Condorcet winner. Otherwise TEQ
-    lies inside the top cycle, so only the top cycle is searched and its memo
-    entry is shared by every subset with the same top cycle.
+    A subset of one or two members is its Condorcet winner; any other's TEQ
+    is the union of its minimal retentive sets.
     """
     cached = table.get(subset)
     if cached is not None:
@@ -298,12 +295,8 @@ def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[
         return result
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
-    top = _top_cycle(dom_of, subset)
-    result = table.get(top)
-    if result is None:
-        # the minimal sets are pairwise disjoint, so their sum is their union
-        result = table[top] = sum(_minimal_sets(dom_of, beats, table, top, deadline))
-    table[subset] = result
+    # the minimal sets are pairwise disjoint, so their sum is their union
+    result = table[subset] = sum(_minimal_sets(dom_of, beats, table, subset, deadline))
     return result
 
 
@@ -352,11 +345,12 @@ def is_retentive(cache: TeqCache, x_set: AltSet) -> bool:
 def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list[AltSet]:
     """All inclusion-minimal TEQ-retentive sets of t, ordered by smallest member.
 
-    These are the terminal SCCs of the relation graph on the top cycle of t;
-    they are pairwise disjoint and their union is teq(t). Successors are
-    built only for uncovered top-cycle members, since TEQ lies in the
-    uncovered set (Schwartz 1990), and a large regular top cycle shares them
-    across automorphism orbits. A given ``cache`` must have base t.
+    These are the terminal SCCs of the relation graph on t; they are
+    pairwise disjoint and their union is teq(t). Successors are built only
+    for uncovered members, since TEQ lies in the uncovered set (Schwartz
+    1990), and a large regular uncovered set that beats every other member
+    shares them across automorphism orbits. A given ``cache`` must have
+    base t.
     """
     if cache is None:
         cache = TeqCache(t)
@@ -364,8 +358,7 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
         raise ValueError("cache belongs to a different tournament")
     if cache.deadline is not None and time.monotonic() >= cache.deadline:
         raise DeadlineExceeded
-    top = _top_cycle(t.dom_of, full_set(t.order))
-    return _minimal_sets(t.dom_of, t.beats, cache.table, top, cache.deadline)
+    return _minimal_sets(t.dom_of, t.beats, cache.table, full_set(t.order), cache.deadline)
 
 
 def bruteforce_minimal_retentive_sets(t: Tournament) -> list[AltSet]:

@@ -1,0 +1,117 @@
+"""Count the Python opcodes each teqtools function executes on fixed inputs.
+
+A deterministic cost meter for changes to the TEQ recursion. Wall-clock
+numbers on a shared host spread by 15% or more between runs of one commit;
+opcode counts for a fixed input set repeat exactly, so two commits can be
+compared by running this script at each:
+
+    PYTHONPATH=src python tests/count_opcodes.py            # full input set
+    PYTHONPATH=src python tests/count_opcodes.py --small    # a few seconds
+
+Two groups of inputs, built from the public API with fixed seeds:
+
+* ``search``: ``search_random`` over the benchmark's seven (order, mode)
+  configurations, uniform orders 13, 17, 21, 23 and structured 16, 20, 24;
+* ``regular``: ``minimal_retentive_sets`` on relabelled circulant
+  tournaments, Paley 31, 43 and 59 plus seeded connection sets at odd
+  orders 31 to 45.
+
+Opcode events come from ``sys.settrace`` and are counted only in frames whose
+code lives in the teqtools package. Per group, the script prints the total,
+the functions that executed the most opcodes, and a digest of the results, so
+a change that alters an answer shows in the digest. Counts vary with the
+Python version, so compare them under one interpreter.
+"""
+
+import argparse
+import collections
+import hashlib
+import json
+import random
+import sys
+from pathlib import Path
+
+import teqtools
+from teqtools import SearchConfig, Tournament, minimal_retentive_sets, search_random
+
+PACKAGE = str(Path(teqtools.__file__).resolve().parent)
+SEARCH_CONFIGS = ((13, "uniform"), (17, "uniform"), (21, "uniform"), (23, "uniform"),
+                  (16, "structured"), (20, "structured"), (24, "structured"))
+PALEY_ORDERS = (31, 43, 59)
+CIRCULANT_ORDERS = tuple(range(31, 46, 2))
+TOP = 12  # functions listed per group
+
+
+def circulant(n, connection, rng):
+    """Alternative i beats i + s (mod n) for s in ``connection``, under a seeded relabelling."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    beats = [0] * n
+    for i in range(n):
+        for s in connection:
+            beats[perm[i]] |= 1 << perm[(i + s) % n]
+    return Tournament(beats)
+
+
+def search_inputs(small):
+    trials, seeds = (2, range(1)) if small else (20, range(3))
+    return [SearchConfig(order=order, trials=trials, seed=seed, mode=mode)
+            for seed in seeds for order, mode in SEARCH_CONFIGS]
+
+
+def regular_inputs(small):
+    rng = random.Random(9)
+    bases = [(p, sorted({x * x % p for x in range(1, p)})) for p in PALEY_ORDERS[:1 if small else 3]]
+    for n in CIRCULANT_ORDERS[:1 if small else None]:
+        for _ in range(1 if small else 4):
+            bases.append((n, [k if rng.getrandbits(1) else n - k for k in range(1, n // 2 + 1)]))
+    return [circulant(n, connection, rng) for n, connection in bases]
+
+
+def counted(fn, inputs):
+    """(opcodes per code object, results) of fn over inputs, counting in teqtools frames only."""
+    counts = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "opcode":
+            counts[frame.f_code] += 1
+        return local
+
+    def calls(frame, event, arg):
+        if frame.f_code.co_filename.startswith(PACKAGE):
+            frame.f_trace_opcodes = True
+            return local
+        return None
+
+    sys.settrace(calls)
+    try:
+        results = [fn(x) for x in inputs]
+    finally:
+        sys.settrace(None)
+    return counts, results
+
+
+def report(name, counts, results):
+    by_function = collections.Counter()
+    for code, n in counts.items():
+        by_function[getattr(code, "co_qualname", code.co_name)] += n
+    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()[:16]
+    print(f"{name}: {sum(by_function.values()):,} opcodes over {len(results)} inputs, "
+          f"results {digest}")
+    for function, n in by_function.most_common(TOP):
+        print(f"  {n:>12,}  {function}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--small", action="store_true", help="a few inputs per group")
+    args = parser.parse_args(argv)
+    search = counted(lambda c: search_random(c).to_dict(include_timing=False),
+                     search_inputs(args.small))
+    report("search", *search)
+    regular = counted(minimal_retentive_sets, regular_inputs(args.small))
+    report("regular", *regular)
+
+
+if __name__ == "__main__":
+    main()

@@ -139,41 +139,61 @@ def lazy_and_eager(t):
 
 def retentive_sets(t):
     """Every TEQ-retentive set of t by the definition, with oracle TEQ of each dominator set."""
-    inner = [0] * t.order
-    for v in range(t.order):
-        if t.dom_of[v]:
-            sub, mapping = restrict(t, t.dom_of[v])
-            inner[v] = altset(mapping[w] for w in members(teq_bruteforce(sub)))
+    inner = [lifted_oracle(t, d) if d else 0 for d in t.dom_of]
     return [x for x in range(1, 1 << t.order)
             if all(inner[v] & ~x == 0 for v in members(x))]
 
 
+def shuffled(n, seed):
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return perm
+
+
 def relabelled_paley(p):
     """Paley p under a seeded random relabelling, so no member order follows the rotation."""
-    perm = list(range(p))
-    random.Random(p).shuffle(perm)
-    return relabel(paley_tournament(p), perm)
+    return relabel(paley_tournament(p), shuffled(p, p))
+
+
+def with_dominated_tail(t, rest_order):
+    """t, on its own indices, beating a transitive tail of ``rest_order`` further members."""
+    n = t.order + rest_order
+    beats = [row | full_set(n) ^ full_set(t.order) for row in t.beats]
+    return Tournament(beats + [altset(range(v + 1, n)) for v in range(t.order, n)])
 
 
 def dominant_cycle_tournament(top_order, rest_order):
     """A rotational cycle on 0..top_order-1 that beats a transitive rest; the cycle is the top cycle."""
-    n = top_order + rest_order
-    beats = list(cycle_tournament(top_order).beats) + [0] * rest_order
-    for v in range(top_order):
-        beats[v] |= full_set(n) ^ full_set(top_order)
-    for v in range(top_order, n):
-        beats[v] |= altset(range(v + 1, n))
-    return Tournament(beats)
+    return with_dominated_tail(cycle_tournament(top_order), rest_order)
 
 
-def condorcet_tournament(order, seed):
-    """Random tournament where 0 dominates everyone else."""
+def paley_and_covered_member(beaten):
+    """Paley 19 and a member z that beats the first ``beaten`` of 0's out-neighbours, relabelled.
+
+    z loses to everyone else, 0 included, so 0 covers z, yet z reaches the
+    Paley block: the top cycle is all 20 members and the uncovered set is
+    the block, which does not beat z. Returns the tournament and the block.
+    """
+    paley = paley_tournament(19)
+    z_beats = altset(members(paley.beats[0])[:beaten])
+    beats = [row | (0 if z_beats >> v & 1 else 1 << 19) for v, row in enumerate(paley.beats)]
+    perm = shuffled(20, beaten)
+    return relabel(Tournament(beats + [z_beats]), perm), altset(perm[:19])
+
+
+def condorcet_tournament(order, seed, winner=0):
+    """Random tournament where ``winner`` dominates everyone else."""
     t = random_tournament(order, seed)
-    beats = list(t.beats)
-    beats[0] = full_set(order) ^ 1
-    for v in range(1, order):
-        beats[v] &= ~1
+    bit = 1 << winner
+    beats = [row & ~bit for row in t.beats]
+    beats[winner] = full_set(order) ^ bit
     return Tournament(beats)
+
+
+def lifted_oracle(t, subset):
+    """teq_bruteforce of the subtournament on ``subset``, in t's indices."""
+    sub, mapping = restrict(t, subset)
+    return altset(mapping[v] for v in members(teq_bruteforce(sub)))
 
 
 class TestBruteforceOracle:
@@ -316,8 +336,37 @@ class TestTeqOfSubset:
             assert value & ~key == 0
 
 
+class TestSubsetsAgainstOracle:
+    """TEQ of any subset, whose top cycle may be a proper part of it, against the oracle."""
+
+    @given(seed=seeds, order=st.integers(2, 12), raw=st.integers(min_value=1))
+    @settings(max_examples=150, deadline=None)
+    def test_random_subsets(self, seed, order, raw):
+        t = random_tournament(order, seed)
+        subset = raw % (1 << order) or 1
+        assert teq_of_subset(TeqCache(t), subset) == lifted_oracle(t, subset)
+
+    @given(top_order=st.sampled_from([1, 3, 5, 7]), rest_order=st.integers(1, 5),
+           raw=st.integers(min_value=1))
+    @settings(max_examples=60, deadline=None)
+    def test_dominant_cycle_subsets(self, top_order, rest_order, raw):
+        t = dominant_cycle_tournament(top_order, rest_order)
+        subset = raw % (1 << t.order) or 1
+        assert teq_of_subset(TeqCache(t), subset) == lifted_oracle(t, subset)
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @given(seed=seeds, order=st.integers(2, 12), raw=st.integers(min_value=0))
+    @settings(max_examples=40, deadline=None)
+    def test_condorcet_winner_anywhere(self, where, seed, order, raw):
+        winner = {"first": 0, "middle": order // 2, "last": order - 1}[where]
+        t = condorcet_tournament(order, seed, winner)
+        subset = raw % (1 << order) | 1 << winner
+        assert teq_of_subset(TeqCache(t), subset) == 1 << winner == lifted_oracle(t, subset)
+        assert minimal_retentive_sets(t) == [1 << winner]
+
+
 class TestTopCyclePruning:
-    """TEQ lies inside the top cycle, which the recursion relies on to prune."""
+    """TEQ and the uncovered set lie inside the top cycle; the recursion prunes by the latter."""
 
     @given(seed=seeds, order=st.integers(2, 12), raw=st.integers(min_value=1))
     @settings(max_examples=120, deadline=None)
@@ -328,6 +377,9 @@ class TestTopCyclePruning:
         result = teq_of_subset(TeqCache(t), subset)
         assert result & ~top == 0
         assert result == teq_of_subset(TeqCache(t), top)
+        # so one coverage pass over the subset does the top cycle's pruning
+        assert uncovered(t, subset) == uncovered(t, top)
+        assert uncovered(t, subset) & ~top == 0
 
     def test_dominant_cycle(self):
         t = dominant_cycle_tournament(5, 4)
@@ -375,7 +427,21 @@ class TestUncoveredPruning:
 
 
 class TestSmallShortcuts:
-    """Settled with no recursion: a pair is its winner, three uncovered top members the minimal set."""
+    """Settled with no recursion: a pair is its winner, at most three uncovered members the minimal set."""
+
+    def test_uncovered_set_facts_exhaustive(self):
+        # the uncovered set is never a pair, is one member exactly when that
+        # member is the Condorcet winner, and when it has at most three
+        # members it is the one minimal set
+        for n in range(1, 6):
+            for t in all_tournaments(n):
+                uc = uncovered(t, full_set(n))
+                winners = [v for v in range(n) if t.dom_of[v] == 0]
+                assert uc.bit_count() != 2, t.beats
+                assert (uc.bit_count() == 1) == bool(winners), t.beats
+                if uc.bit_count() <= 3:
+                    assert bruteforce_minimal_retentive_sets(t) == [uc], t.beats
+                    assert minimal_retentive_sets(t) == [uc], t.beats
 
     @given(seed=seeds, order=st.integers(4, 9))
     @settings(max_examples=100, deadline=None)
@@ -446,8 +512,9 @@ class TestLazyExploration:
     ])
     def test_explores_until_the_rest_can_hold_no_minimal_set(self, beats, explored):
         t = Tournament(beats)
-        top = top_cycle(t, full_set(t.order))
-        succ, got = teq_module._lazy_successors(t.dom_of, t.beats, {}, top, uncovered(t, top), None)
+        everyone = full_set(t.order)
+        succ, got = teq_module._lazy_successors(t.dom_of, t.beats, {}, everyone,
+                                                uncovered(t, everyone), None)
         assert members(got) == sorted(succ) == explored
         assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t)
 
@@ -522,8 +589,7 @@ class TestOrbitSharing:
         assert all(t.dom_of[v] in cache.table for v in range(p))
         for s, value in cache.table.items():
             if s.bit_count() <= BRUTEFORCE_MAX_ORDER:
-                sub, mapping = restrict(t, s)
-                assert value == altset(mapping[v] for v in members(teq_bruteforce(sub))), s
+                assert value == lifted_oracle(t, s), s
 
     def test_paley_59_memo_stays_small(self):
         # 68,558 memo entries when every member recursed on its own
@@ -553,6 +619,46 @@ class TestOrbitSharing:
         # before a member outside it ends the search
         t = z3_regular(reversed_at, first)
         assert minimal_retentive_sets(t) == unpruned_minimal_sets(t)
+
+    @staticmethod
+    def orbit_calls(monkeypatch):
+        """The sets ``_orbit_successors`` is called on from now on, in call order."""
+        calls = []
+
+        def counted(dom_of, beats, table, top, deadline):
+            calls.append(top)
+            return orbit(dom_of, beats, table, top, deadline)
+
+        orbit = teq_module._orbit_successors
+        monkeypatch.setattr(teq_module, "_orbit_successors", counted)
+        return calls
+
+    def test_regular_uncovered_set_above_a_dominated_tail(self, monkeypatch):
+        # the uncovered set is the Paley block, which beats the tail and is
+        # the top cycle, so the orbit path runs on it though the whole set
+        # is not regular
+        perm = shuffled(64, 64)
+        t = relabel(with_dominated_tail(paley_tournament(59), 5), perm)
+        block = altset(perm[:59])
+        calls = self.orbit_calls(monkeypatch)
+        cache = TeqCache(t)
+        assert minimal_retentive_sets(t, cache) == [block]
+        # once on the block, then once inside the recursion on a member's
+        # dominators, a regular tournament of 29 (as for Paley 59 alone)
+        assert len(calls) == 2 and calls[0] == block
+        assert calls[1].bit_count() == 29 and calls[1] & ~block == 0
+        assert len(cache.table) < 1000
+
+    @pytest.mark.parametrize("beaten", [1, 4, 8])
+    def test_regular_uncovered_set_that_does_not_beat_the_rest(self, monkeypatch, beaten):
+        # the uncovered set is regular, but a covered member of the top cycle
+        # beats part of it, so the successors are not shared across orbits
+        t, block = paley_and_covered_member(beaten)
+        assert top_cycle(t, full_set(20)) == full_set(20)
+        assert uncovered(t, full_set(20)) == block
+        calls = self.orbit_calls(monkeypatch)
+        assert minimal_retentive_sets(t) == unpruned_minimal_sets(t)
+        assert calls == []
 
     def test_one_failed_search_per_top(self, monkeypatch):
         calls = []
