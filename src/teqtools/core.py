@@ -368,11 +368,6 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def _draw(key: int, index: int) -> int:
-    # key is _mix64(seed); _mix64 reduces its argument mod 2**64
-    return _mix64(key + (index + 1) * _GOLDEN)
-
-
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic 64-bit value for the index-th draw keyed by ``seed``.
 
@@ -380,7 +375,8 @@ def derive_seed(seed: int, index: int) -> int:
     counter), so draws are independent of call order and identical across
     platforms and Python versions.
     """
-    return _draw(_mix64(seed), index)
+    # the outer _mix64 reduces its argument mod 2**64
+    return _mix64(_mix64(seed) + (index + 1) * _GOLDEN)
 
 
 def random_tournament(order: int, seed: int) -> Tournament:

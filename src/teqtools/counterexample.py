@@ -53,7 +53,7 @@ EXPECTED_TEQ_TABLE = {
 GOLDEN_FILE = "counterexample24.txt"
 
 
-CounterexampleInstance = namedtuple("CounterexampleInstance", "tournament x_set y_set x1 x2 y1 y2")
+CounterexampleInstance = namedtuple("CounterexampleInstance", "tournament x_set y_set")
 
 ClaimResult = namedtuple("ClaimResult", "claim_id description passed details", defaults=("",))
 
@@ -87,24 +87,84 @@ def build_counterexample() -> CounterexampleInstance:
     for i, dominators_of_i in DOM_X_TABLE.items():
         for j in dominators_of_i:
             half[j - 1] |= 1 << (i - 1)  # x_j beats x_i
-    x1 = altset(range(0, 6))
-    x2 = altset(range(6, 12))
-    y1 = x1 << 12
-    y2 = x2 << 12
-    return CounterexampleInstance(
-        tournament=compose_structured(Tournament(half), 6),
-        x_set=x1 | x2,
-        y_set=y1 | y2,
-        x1=x1,
-        x2=x2,
-        y1=y1,
-        y2=y2,
-    )
+    x_set = altset(range(12))
+    return CounterexampleInstance(compose_structured(Tournament(half), 6), x_set, x_set << 12)
 
 
 def expected_teq_masks() -> dict[int, AltSet]:
     """EXPECTED_TEQ_TABLE as bitmasks keyed by 1-based x index."""
     return {i: altset(j - 1 for j in vals) for i, vals in EXPECTED_TEQ_TABLE.items()}
+
+
+# What every claim reads: the instance, one cache, and TEQ(dominators of v)
+# for all 24 alternatives v, indexed like the alternatives.
+_Context = namedtuple("_Context", "inst cache teq_dom")
+
+
+def _teq_dom_x(i: int, want: AltSet):
+    def check(ctx):
+        got = ctx.teq_dom[i - 1]
+        return got == want and got & ~ctx.inst.x_set == 0, f"computed {label_set(got)}"
+    return check
+
+
+def _x_retentive(ctx):
+    ok = is_retentive(ctx.cache, ctx.inst.x_set)
+    return ok, "every TEQ(dominators of x_i) stays inside X" if ok else "containment fails"
+
+
+def _teq_dom_y_inside_y(ctx):
+    offenders = [f"y{i}" for i, got in enumerate(ctx.teq_dom[12:], 1) if got & ~ctx.inst.y_set]
+    return not offenders, "escapes Y for " + ", ".join(offenders) if offenders else "all twelve contained"
+
+
+def _x_y_disjoint(ctx):
+    x_set, y_set = ctx.inst.x_set, ctx.inst.y_set
+    ok = x_set & y_set == 0 and is_retentive(ctx.cache, x_set) and is_retentive(ctx.cache, y_set)
+    return ok, f"X = {label_set(x_set)}, Y = {label_set(y_set)}"
+
+
+def _halves_isomorphic(ctx):
+    tx, _ = restrict(ctx.inst.tournament, ctx.inst.x_set)
+    ty, _ = restrict(ctx.inst.tournament, ctx.inst.y_set)
+    witness = find_isomorphism(tx, ty)
+    if witness is None:
+        return False, "no isomorphism found"
+    details = "witness " + " ".join(f"x{i + 1}->y{w + 1}" for i, w in enumerate(witness))
+    # is_isomorphism rechecks the search's answer independently
+    return is_isomorphism(tx, ty, witness), details
+
+
+def _x_y_symmetry(ctx):
+    # row i has bit j - 1 set where "x_j in TEQ(dominators of x_i)" and
+    # "y_j in TEQ(dominators of y_i)" differ
+    rows = ((x ^ y >> 12) & 0xFFF for x, y in zip(ctx.teq_dom[:12], ctx.teq_dom[12:]))
+    broken = [f"(i={i}, j={j + 1})" for i, row in enumerate(rows, 1) for j in iter_members(row)]
+    return not broken, "disagrees at " + ", ".join(broken[:8]) if broken else "all pairs agree"
+
+
+def _two_minimal_sets(ctx):
+    minimal = minimal_retentive_sets(ctx.inst.tournament, ctx.cache)
+    has_x = any(m & ~ctx.inst.x_set == 0 for m in minimal)
+    has_y = any(m & ~ctx.inst.y_set == 0 for m in minimal)
+    details = "minimal sets: " + "; ".join(label_set(m) for m in minimal)
+    return len(minimal) >= 2 and has_x and has_y, details
+
+
+# (claim_id, description, check) in report order; check(ctx) gives (passed, details)
+_CLAIMS = [
+    *((f"teq-dom-x{i}", f"TEQ(dominators of x{i}) = {label_set(want)} and is inside X", _teq_dom_x(i, want))
+      for i, want in expected_teq_masks().items()),
+    ("x-retentive", "X is TEQ-retentive", _x_retentive),
+    ("teq-dom-y-inside-y", "TEQ(dominators of y_i) is inside Y for all i", _teq_dom_y_inside_y),
+    ("y-retentive", "Y is TEQ-retentive", lambda ctx: (is_retentive(ctx.cache, ctx.inst.y_set), "")),
+    ("x-y-disjoint", "X and Y are disjoint, so two disjoint retentive sets exist", _x_y_disjoint),
+    ("halves-isomorphic", "the induced subtournaments on X and Y are isomorphic", _halves_isomorphic),
+    ("x-y-symmetry", "y_j in TEQ(dominators of y_i) iff x_j in TEQ(dominators of x_i), all 144 pairs",
+     _x_y_symmetry),
+    ("two-minimal-sets", "at least two minimal retentive sets, one inside X and one inside Y",
+     _two_minimal_sets),
+]
 
 
 def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
@@ -113,109 +173,12 @@ def verify_claims(inst: CounterexampleInstance) -> VerificationReport:
     Every check is recomputed from the tournament alone; failures become
     failing report entries, never exceptions.
     """
-    t = inst.tournament
-    cache = TeqCache(t)
-    claims = []
-    expected = expected_teq_masks()
-
-    # TEQ of each x_i's full dominator set matches the expected table and
-    # stays inside X.
-    teq_x = {}
-    for i in range(1, 13):
-        d = t.dom_of[i - 1]
-        got = teq_of_subset(cache, d)
-        teq_x[i] = got
-        want = expected[i]
-        ok = got == want and got & ~inst.x_set == 0
-        claims.append(ClaimResult(
-            claim_id=f"teq-dom-x{i}",
-            description=f"TEQ(dominators of x{i}) = {label_set(want)} and is inside X",
-            passed=ok,
-            details=f"computed {label_set(got)}",
-        ))
-
-    x_ret = is_retentive(cache, inst.x_set)
-    claims.append(ClaimResult(
-        claim_id="x-retentive",
-        description="X is TEQ-retentive",
-        passed=x_ret,
-        details="every TEQ(dominators of x_i) stays inside X" if x_ret else "containment fails",
-    ))
-
-    teq_y = {}
-    y_inside = True
-    offenders = []
-    for i in range(1, 13):
-        d = t.dom_of[i + 11]
-        got = teq_of_subset(cache, d)
-        teq_y[i] = got
-        if got & ~inst.y_set:
-            y_inside = False
-            offenders.append(f"y{i}")
-    claims.append(ClaimResult(
-        claim_id="teq-dom-y-inside-y",
-        description="TEQ(dominators of y_i) is inside Y for all i",
-        passed=y_inside,
-        details="all twelve contained" if y_inside else "escapes Y for " + ", ".join(offenders),
-    ))
-    y_ret = is_retentive(cache, inst.y_set)
-    claims.append(ClaimResult(
-        claim_id="y-retentive",
-        description="Y is TEQ-retentive",
-        passed=y_ret,
-        details="",
-    ))
-
-    disjoint = inst.x_set & inst.y_set == 0
-    claims.append(ClaimResult(
-        claim_id="x-y-disjoint",
-        description="X and Y are disjoint, so two disjoint retentive sets exist",
-        passed=disjoint and x_ret and y_ret,
-        details=f"X = {label_set(inst.x_set)}, Y = {label_set(inst.y_set)}",
-    ))
-
-    tx, _ = restrict(t, inst.x_set)
-    ty, _ = restrict(t, inst.y_set)
-    witness = find_isomorphism(tx, ty)
-    iso_ok = witness is not None and is_isomorphism(tx, ty, witness)
-    claims.append(ClaimResult(
-        claim_id="halves-isomorphic",
-        description="the induced subtournaments on X and Y are isomorphic",
-        passed=iso_ok,
-        details=("witness " + " ".join(f"x{i + 1}->y{w + 1}" for i, w in enumerate(witness)))
-        if witness is not None else "no isomorphism found",
-    ))
-
-    symmetric = True
-    broken = []
-    for i in range(1, 13):
-        for j in range(1, 13):
-            in_x = (teq_x[i] >> (j - 1)) & 1
-            in_y = (teq_y[i] >> (j + 11)) & 1
-            if in_x != in_y:
-                symmetric = False
-                broken.append(f"(i={i}, j={j})")
-    claims.append(ClaimResult(
-        claim_id="x-y-symmetry",
-        description="y_j in TEQ(dominators of y_i) iff x_j in TEQ(dominators of x_i), all 144 pairs",
-        passed=symmetric,
-        details="all pairs agree" if symmetric else "disagrees at " + ", ".join(broken[:8]),
-    ))
-
-    minimal = minimal_retentive_sets(t, cache)
-    has_x = any(m & ~inst.x_set == 0 for m in minimal)
-    has_y = any(m & ~inst.y_set == 0 for m in minimal)
-    claims.append(ClaimResult(
-        claim_id="two-minimal-sets",
-        description="at least two minimal retentive sets, one inside X and one inside Y",
-        passed=len(minimal) >= 2 and has_x and has_y,
-        details="minimal sets: " + "; ".join(label_set(m) for m in minimal),
-    ))
-
-    notes = [
+    cache = TeqCache(inst.tournament)
+    ctx = _Context(inst, cache, [teq_of_subset(cache, d) for d in inst.tournament.dom_of])
+    claims = [ClaimResult(claim_id, text, *check(ctx)) for claim_id, text, check in _CLAIMS]
+    return VerificationReport(claims, [
         "Retentiveness is checked with non-strict containment: "
         "TEQ(dominators of x) may equal the candidate set itself.",
         "These checks establish two disjoint minimal TEQ-retentive sets at order 24; "
         "weakened variants of the uniqueness conjecture are not checked.",
-    ]
-    return VerificationReport(claims, notes)
+    ])

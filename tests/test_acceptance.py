@@ -20,7 +20,6 @@ from teqtools.core import (
     serialize,
 )
 from teqtools.counterexample import (
-    CounterexampleInstance,
     build_counterexample,
     expected_teq_masks,
     verify_claims,
@@ -202,11 +201,7 @@ def test_criterion_8_mutation_sensitivity(instance):
     for i in range(12):
         for j in range(12, 24):
             total += 1
-            m = CounterexampleInstance(
-                tournament=flip_edge(instance.tournament, i, j),
-                x_set=instance.x_set, y_set=instance.y_set,
-                x1=instance.x1, x2=instance.x2, y1=instance.y1, y2=instance.y2,
-            )
+            m = instance._replace(tournament=flip_edge(instance.tournament, i, j))
             if not verify_claims(m).all_passed:
                 detected += 1
     elapsed = time.monotonic() - started

@@ -1,12 +1,15 @@
 import pytest
 
+import hashlib
 import itertools
+import json
+from collections import Counter
 
-from teqtools.core import altset, dominators, full_set, parse, restrict, serialize
+from teqtools import counterexample
+from teqtools.core import altset, dominators, full_set, is_isomorphism, parse, restrict, serialize
 from teqtools.counterexample import (
     DOM_X_TABLE,
     EXPECTED_TEQ_TABLE,
-    CounterexampleInstance,
     build_counterexample,
     expected_teq_masks,
     label,
@@ -18,22 +21,21 @@ from teqtools.teq import TeqCache, minimal_retentive_sets, teq_of_subset
 from conftest import flip_edge
 
 
+# the top and bottom blocks of six in each half
+X1, X2 = altset(range(0, 6)), altset(range(6, 12))
+Y1, Y2 = X1 << 12, X2 << 12
+
+
 def mutated(inst, a, b):
-    return CounterexampleInstance(
-        tournament=flip_edge(inst.tournament, a, b),
-        x_set=inst.x_set, y_set=inst.y_set,
-        x1=inst.x1, x2=inst.x2, y1=inst.y1, y2=inst.y2,
-    )
+    return inst._replace(tournament=flip_edge(inst.tournament, a, b))
 
 
 class TestBuild:
     def test_partitions(self, instance):
         assert instance.x_set | instance.y_set == full_set(24)
         assert instance.x_set & instance.y_set == 0
-        assert instance.x1 | instance.x2 == instance.x_set
-        assert instance.y1 | instance.y2 == instance.y_set
-        for block in (instance.x1, instance.x2, instance.y1, instance.y2):
-            assert block.bit_count() == 6
+        assert X1 | X2 == instance.x_set
+        assert Y1 | Y2 == instance.y_set
 
     def test_deterministic_and_matches_golden_file(self, instance, golden_text):
         assert serialize(instance.tournament) == golden_text
@@ -53,16 +55,16 @@ class TestBuild:
     def test_table_cardinalities_sum_to_66(self):
         assert sum(len(v) for v in DOM_X_TABLE.values()) == 66
 
-    def test_cross_block_dominance(self, big_t, instance):
+    def test_cross_block_dominance(self, big_t):
         def block_beats(a_block, b_block):
             return all(big_t.dominates(a, b)
                        for a in range(24) if (a_block >> a) & 1
                        for b in range(24) if (b_block >> b) & 1)
 
-        assert block_beats(instance.x1, instance.y2)
-        assert block_beats(instance.x2, instance.y1)
-        assert block_beats(instance.y1, instance.x1)
-        assert block_beats(instance.y2, instance.x2)
+        assert block_beats(X1, Y2)
+        assert block_beats(X2, Y1)
+        assert block_beats(Y1, X1)
+        assert block_beats(Y2, X2)
 
     def test_y_half_is_shifted_copy(self, big_t):
         for i in range(12):
@@ -110,11 +112,7 @@ class TestVerifyClaims:
 
     def test_claims_recomputable_from_tournament_alone(self, instance):
         # round-trip the tournament through text; claims must still pass
-        rebuilt = CounterexampleInstance(
-            tournament=parse(serialize(instance.tournament)),
-            x_set=instance.x_set, y_set=instance.y_set,
-            x1=instance.x1, x2=instance.x2, y1=instance.y1, y2=instance.y2,
-        )
+        rebuilt = instance._replace(tournament=parse(serialize(instance.tournament)))
         assert verify_claims(rebuilt).all_passed
 
     @pytest.mark.parametrize("pair", [(0, 12), (0, 18), (6, 12), (11, 23), (5, 19)])
@@ -130,6 +128,66 @@ class TestVerifyClaims:
     def test_teq_x1_value(self, big_t):
         cache = TeqCache(big_t)
         assert teq_of_subset(cache, big_t.dom_of[0]) == altset([3, 7, 11])
+
+
+# sha256 of the JSON of every claim (id, description, verdict, details) in the
+# reports for the instance and each of its 276 single-arc reversals, in
+# itertools.combinations order
+REPORT_DIGEST = "d66993fa8baf2f7f99484d9404f10bd0e00001e7c1c72663f18de74a3e1cd688"
+
+# how many of the 276 single-arc reversals fail each claim
+FAILURE_TALLY = {
+    "teq-dom-x1": 34, "teq-dom-x2": 32, "teq-dom-x3": 32, "teq-dom-x4": 32,
+    "teq-dom-x5": 32, "teq-dom-x6": 30, "teq-dom-x7": 34, "teq-dom-x8": 33,
+    "teq-dom-x9": 33, "teq-dom-x10": 33, "teq-dom-x11": 33, "teq-dom-x12": 33,
+    "x-retentive": 132, "teq-dom-y-inside-y": 132, "y-retentive": 132,
+    "x-y-disjoint": 264, "halves-isomorphic": 132, "x-y-symmetry": 276,
+    "two-minimal-sets": 264,
+}
+
+
+class TestWholeReport:
+    """Every claim of the report, failing details included, is pinned."""
+
+    @pytest.fixture(scope="class")
+    def reports(self, instance):
+        t = instance.tournament
+        return [verify_claims(instance)] + [
+            verify_claims(instance._replace(tournament=flip_edge(t, a, b)))
+            for a, b in itertools.combinations(range(24), 2)
+        ]
+
+    def test_digest(self, reports):
+        blob = json.dumps([[list(c) for c in r.claims] for r in reports])
+        assert hashlib.sha256(blob.encode()).hexdigest() == REPORT_DIGEST
+
+    def test_failure_tally(self, reports):
+        assert reports[0].all_passed
+        assert not any(r.all_passed for r in reports[1:])
+        tally = Counter(c.claim_id for r in reports[1:] for c in r.claims if not c.passed)
+        assert dict(tally) == FAILURE_TALLY
+
+
+class TestSabotage:
+    """A wrong answer from a fast-path routine fails exactly the claim that checks it."""
+
+    def failing(self, instance):
+        return [c for c in verify_claims(instance).claims if not c.passed]
+
+    def test_lone_minimal_set(self, instance, monkeypatch):
+        monkeypatch.setattr(counterexample, "minimal_retentive_sets",
+                            lambda t, cache=None: [instance.x_set])
+        assert [c.claim_id for c in self.failing(instance)] == ["two-minimal-sets"]
+
+    def test_isomorphism_witness_is_rechecked(self, big_t, instance, monkeypatch):
+        rotation = list(range(1, 12)) + [0]
+        tx, _ = restrict(big_t, instance.x_set)
+        ty, _ = restrict(big_t, instance.y_set)
+        assert not is_isomorphism(tx, ty, rotation)
+        monkeypatch.setattr(counterexample, "find_isomorphism", lambda a, b: rotation)
+        [claim] = self.failing(instance)
+        assert claim.claim_id == "halves-isomorphic"
+        assert claim.details.startswith("witness x1->y2 x2->y3 ")
 
 
 class TestNeighbourhood:
