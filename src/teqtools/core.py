@@ -205,24 +205,22 @@ def _match(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[A
 
     Both sides carry an ordered partition, cell k of a standing for cell k of
     b; only the union of the cells is matched, and ``mapping[v]`` is the image
-    of v for v in that union. ``_refine`` splits the cells of both sides in
-    lockstep until the partition is equitable, and the two sides must split
-    alike. While a cell has several members, the lowest member of a's first
-    smallest such cell is paired with each member of b's matching cell in
-    turn, and the search refines and recurses. A discrete partition is
-    accepted only if the bijection it defines preserves dominance on the
-    union. ``deadline`` is a ``time.monotonic()`` cutoff checked once per
-    node of the search; past it ``DeadlineExceeded`` is raised.
+    of v for v in that union. The rows may be those of either relation, as
+    long as both sides use the same one. ``_refine`` splits the cells of both
+    sides in lockstep until the partition is equitable, and the two sides must
+    split alike. While a cell has several members, the lowest member of a's
+    first smallest such cell is paired with each member of b's matching cell
+    in turn, and the search recurses. A discrete partition is accepted only if
+    the bijection it defines preserves dominance on the union. ``deadline`` is
+    a ``time.monotonic()`` cutoff checked once per node of the search; past it
+    ``DeadlineExceeded`` is raised.
     """
     refined = _refine(beats_a, beats_b, cells_a, cells_b)
-    return None if refined is None else _individualise(beats_a, beats_b, *refined, deadline)
-
-
-def _individualise(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-                   cells_b: list[AltSet], deadline: float | None) -> list[int] | None:
-    """``_match`` on partitions that refinement no longer splits."""
+    if refined is None:
+        return None
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
+    cells_a, cells_b = refined
     sizes = [c.bit_count() for c in cells_a]
     if max(sizes) == 1:
         mapping = [0] * len(beats_a)
@@ -235,12 +233,10 @@ def _individualise(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a
     fixed_a = cells_a[:k] + [low, cell_a ^ low] + cells_a[k + 1:]
     for w in iter_members(cell_b):
         pick = 1 << w
-        refined = _refine(beats_a, beats_b, fixed_a,
-                          cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:])
-        if refined is not None:
-            found = _individualise(beats_a, beats_b, *refined, deadline)
-            if found is not None:
-                return found
+        found = _match(beats_a, beats_b, fixed_a, cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:],
+                       deadline)
+        if found is not None:
+            return found
     return None
 
 

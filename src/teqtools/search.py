@@ -72,24 +72,10 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
         raise ValueError(f"split must be half the order ({n // 2}), got {split}")
     if 2 * n > MAX_ORDER:
         raise ValueError(f"composed order {2 * n} exceeds {MAX_ORDER}")
-    beats = [0] * (2 * n)
-    for v in range(n):
-        beats[v] = half.beats[v]
-        beats[v + n] = half.beats[v] << n
     block1 = (1 << split) - 1
     block2 = ((1 << n) - 1) ^ block1
-    x1, x2 = block1, block2
-    y1, y2 = block1 << n, block2 << n
-    for v in range(2 * n):
-        bit = 1 << v
-        if bit & x1:
-            beats[v] |= y2
-        elif bit & x2:
-            beats[v] |= y1
-        elif bit & y1:
-            beats[v] |= x1
-        else:
-            beats[v] |= x2
+    beats = [row | (block2 if v < split else block1) << n for v, row in enumerate(half.beats)]
+    beats += [row << n | (block1 if v < split else block2) for v, row in enumerate(half.beats)]
     return Tournament._trusted(beats)
 
 

@@ -22,10 +22,11 @@ also neutral: an automorphism maps TEQ of a set onto TEQ of its image. So
 when the uncovered members form a large regular tournament that beats every
 other member, the recursion runs once for the lowest member, and the
 successors of every member found in its orbit are that one mapped through
-an automorphism (individualisation-refinement, ``core._match``) and stored
-in the memo too. ``teq_bruteforce`` is an independent oracle that
-transcribes the definition literally (subset enumeration, no SCC shortcut,
-no covering argument, no automorphisms).
+an automorphism (individualisation-refinement, ``core._match``). They only
+seed the memo: the exploration above runs as always and finds them there.
+``teq_bruteforce`` is an independent oracle that transcribes the definition
+literally (subset enumeration, no SCC shortcut, no covering argument, no
+automorphisms).
 """
 
 from __future__ import annotations
@@ -47,10 +48,11 @@ class TeqCache:
 
     A subset of a fixed base fully determines the induced subtournament, so
     the bitmask is a sound memo key. Besides the subsets the recursion
-    visits, the table holds the successors mapped from another member's
-    through an automorphism of a regular top cycle, keyed by that member's
-    dominators in the top cycle. Never share a cache across different base
-    tournaments; a cache is confined to one computation at a time.
+    visits, the table holds successors that the orbit step seeds: mapped
+    through an automorphism of a regular top cycle, keyed by a member's
+    dominators in the top cycle, and read by the exploration as memo hits.
+    Never share a cache across different base tournaments; a cache is
+    confined to one computation at a time.
     ``hits``/``misses`` count top-level queries, not internal recursion.
     """
 
@@ -98,8 +100,8 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
     return [r for r, g in groups.items() if g == r]
 
 
-def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
-                  table: dict[AltSet, AltSet], subset: AltSet, deadline: float | None) -> list[AltSet]:
+def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
+                  deadline: float | None) -> list[AltSet]:
     """Minimal retentive sets of ``subset``, ordered by smallest member.
 
     They are the terminal SCCs of the relation graph x -> TEQ(dominators of
@@ -110,17 +112,18 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     dominator is the Condorcet winner and the one minimal set. At most three
     uncovered members are the one minimal set, with no recursion. When U has
     at least ``_ORBIT_MIN_SIZE`` members, is regular and beats every member
-    outside it, its successors come from ``_orbit_successors``, which shares
-    one recursion across an orbit of its automorphism group.
+    outside it, ``_share_orbit`` first seeds the memo with the successors of
+    the lowest member's orbit under its automorphism group.
 
-    Otherwise successors are built lazily (``_lazy_successors``): for the
-    lowest uncovered member, then for every uncovered member they reach, so
-    an explored member's whole reach is explored and whether it lies in a
-    terminal SCC is settled. A minimal set not yet found lies in the
-    unexplored uncovered members W, so it has at least three members, and it
-    is dominant in ``subset``: no member outside it beats all of it. The
-    next unexplored member is explored only while |W| >= 3 and no member of
-    ``subset`` beats all of W; otherwise W holds no minimal set.
+    Successors are built lazily (``_lazy_successors``), finding seeded ones
+    in the memo: for the lowest uncovered member, then for every uncovered
+    member they reach, so an explored member's whole reach is explored and
+    whether it lies in a terminal SCC is settled. A minimal set not yet
+    found lies in the unexplored uncovered members W, so it has at least
+    three members, and it is dominant in ``subset``: no member outside it
+    beats all of it. The next unexplored member is explored only while
+    |W| >= 3 and no member of ``subset`` beats all of W; otherwise W holds
+    no minimal set.
 
     Write TC for the top cycle of ``subset``: its least nonempty part that
     dominates the rest. No member outside TC beats a member of TC.
@@ -166,7 +169,7 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
         covers = dom_of[v] & subset
         if not covers:
             return [bit]
-        wins = beats[v] & subset
+        wins = subset ^ covers ^ bit
         while wins and covers:
             low = wins & -wins
             covers &= dom_of[low.bit_length() - 1]
@@ -176,22 +179,20 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
     size = uncovered.bit_count()
     if size <= 3:
         return [uncovered]
-    # U is a regular top cycle iff it has odd size, each member beats half
-    # the rest of U and all outside it (proof above); the lowest member's
-    # score is checked first, so most sets are rejected at once
+    # U is a regular top cycle iff it has odd size, each member is beaten by
+    # half the rest of U and by none outside it (proof above); the lowest
+    # member is checked first, so most sets are rejected at once
     outside = subset ^ uncovered
     if (size >= _ORBIT_MIN_SIZE and size & 1
-            and (beats[(uncovered & -uncovered).bit_length() - 1] & uncovered).bit_count() == size >> 1
-            and all((beats[v] & uncovered).bit_count() == size >> 1 and beats[v] & outside == outside
+            and (dom_of[(uncovered & -uncovered).bit_length() - 1] & uncovered).bit_count() == size >> 1
+            and all((dom_of[v] & uncovered).bit_count() == size >> 1 and not dom_of[v] & outside
                     for v in iter_members(uncovered))):
-        return _terminal_scc_masks(_orbit_successors(dom_of, beats, table, uncovered, deadline),
-                                   uncovered)
-    return _terminal_scc_masks(*_lazy_successors(dom_of, beats, table, subset, uncovered, deadline))
+        _share_orbit(dom_of, table, uncovered, deadline)
+    return _terminal_scc_masks(*_lazy_successors(dom_of, table, subset, uncovered, deadline))
 
 
-def _lazy_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
-                     table: dict[AltSet, AltSet], subset: AltSet, uncovered: AltSet,
-                     deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
+def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
+                     uncovered: AltSet, deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
     """Successors of the uncovered members of ``subset`` that can matter, and those members.
 
     Explores the lowest unexplored uncovered member, then every uncovered
@@ -211,7 +212,7 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
             bit = todo & -todo
             explored |= bit
             v = bit.bit_length() - 1
-            found = succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & subset, deadline)
+            found = succ[v] = _teq_rec(dom_of, table, dom_of[v] & subset, deadline)
             todo = (todo | found & uncovered) & ~explored
         unexplored = uncovered & ~explored
         if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, subset, unexplored):
@@ -228,35 +229,30 @@ def _beaten_by_one(dom_of: tuple[AltSet, ...], subset: AltSet, group: AltSet) ->
     return common != 0
 
 
-def _orbit_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
-                      table: dict[AltSet, AltSet], top: AltSet,
-                      deadline: float | None) -> dict[int, AltSet]:
-    """x -> TEQ(dominators of x in ``top``) for every member of a regular top cycle.
+def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: AltSet,
+                 deadline: float | None) -> None:
+    """Memoise TEQ(dominators of x in ``top``) for the lowest member's orbit in a regular top cycle.
 
-    No member of a regular tournament is covered, since a cover would score
-    higher. TEQ is neutral: an automorphism g of the top cycle maps the
-    dominators of u onto those of g(u), so TEQ(dom(g(u))) = g(TEQ(dom(u))).
-    The recursion runs for the lowest member r. Then, while the lowest member
-    not yet reached has r's out-neighbourhood score multiset and ``core._match``
-    finds an automorphism taking r to it (McKay & Piperno 2014), the known
-    successors are closed under every automorphism found, and each mapped
-    successor is also stored in the memo. From the first member shown to lie
-    outside r's orbit on, every member still unreached is recursed on directly.
-    The automorphism search checks ``deadline`` too.
+    TEQ is neutral: an automorphism g of the top cycle maps the dominators
+    of u onto those of g(u), so TEQ(dom(g(u))) = g(TEQ(dom(u))). The
+    recursion runs for the lowest member r. Then, while ``core._match``
+    finds an automorphism taking r to the lowest member not yet reached
+    (McKay & Piperno 2014), the known successors are closed under every
+    automorphism found and each mapped one is stored in the memo. The first
+    member shown to lie outside r's orbit ends the step. An automorphism of
+    "is beaten by" is one of the tournament, so the search reads ``dom_of``;
+    it checks ``deadline`` too.
     """
     r = (top & -top).bit_length() - 1
     rest = top ^ (1 << r)
-    succ = {r: _teq_rec(dom_of, beats, table, dom_of[r] & top, deadline)}
-    profile = _out_profile(beats, top, r)
+    succ = {r: _teq_rec(dom_of, table, dom_of[r] & top, deadline)}
     automorphisms = []
     for v in iter_members(rest):
         if v in succ:
             continue
-        if _out_profile(beats, top, v) != profile:
-            break
-        g = _match(beats, beats, [1 << r, rest], [1 << v, top ^ (1 << v)], deadline)
+        g = _match(dom_of, dom_of, [1 << r, rest], [1 << v, top ^ (1 << v)], deadline)
         if g is None:
-            break
+            return
         automorphisms.append(g)
         todo = list(succ)
         while todo:
@@ -266,20 +262,10 @@ def _orbit_successors(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...],
                 if w not in succ:
                     succ[w] = table[dom_of[w] & top] = _map_set(h, succ[u])
                     todo.append(w)
-    for v in iter_members(rest):
-        if v not in succ:
-            succ[v] = _teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
-    return succ
 
 
-def _out_profile(beats: tuple[AltSet, ...], top: AltSet, v: int) -> list[int]:
-    """Sorted scores inside v's out-neighbourhood in ``top``; an automorphism invariant of v."""
-    out = beats[v] & top
-    return sorted((beats[w] & out).bit_count() for w in iter_members(out))
-
-
-def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[AltSet, AltSet],
-             subset: AltSet, deadline: float | None) -> AltSet:
+def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
+             deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
     A subset of one or two members is its Condorcet winner; any other's TEQ
@@ -291,12 +277,12 @@ def _teq_rec(dom_of: tuple[AltSet, ...], beats: tuple[AltSet, ...], table: dict[
     low = subset & -subset
     high = subset ^ low
     if high & (high - 1) == 0:
-        result = table[subset] = high if high and not beats[low.bit_length() - 1] & high else low
+        result = table[subset] = high if dom_of[low.bit_length() - 1] & high else low
         return result
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
     # the minimal sets are pairwise disjoint, so their sum is their union
-    result = table[subset] = sum(_minimal_sets(dom_of, beats, table, subset, deadline))
+    result = table[subset] = sum(_minimal_sets(dom_of, table, subset, deadline))
     return result
 
 
@@ -315,8 +301,7 @@ def teq_of_subset(cache: TeqCache, subset: AltSet) -> AltSet:
         cache.hits += 1
         return cached
     cache.misses += 1
-    base = cache.base
-    return _teq_rec(base.dom_of, base.beats, cache.table, subset, cache.deadline)
+    return _teq_rec(cache.base.dom_of, cache.table, subset, cache.deadline)
 
 
 def teq(t: Tournament) -> AltSet:
@@ -358,7 +343,7 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
         raise ValueError("cache belongs to a different tournament")
     if cache.deadline is not None and time.monotonic() >= cache.deadline:
         raise DeadlineExceeded
-    return _minimal_sets(t.dom_of, t.beats, cache.table, full_set(t.order), cache.deadline)
+    return _minimal_sets(t.dom_of, cache.table, full_set(t.order), cache.deadline)
 
 
 def bruteforce_minimal_retentive_sets(t: Tournament) -> list[AltSet]:

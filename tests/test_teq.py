@@ -119,9 +119,9 @@ def three_uncovered_tournament(order, seed):
     raise AssertionError(f"no order-{order} draw from seed {seed} qualifies")
 
 
-def eager_successors(dom_of, beats, table, top, uncovered, deadline):
+def eager_successors(dom_of, table, top, uncovered, deadline):
     """Reference for ``_lazy_successors``: every uncovered member recurses, and all are candidates."""
-    succ = {v: teq_module._teq_rec(dom_of, beats, table, dom_of[v] & top, deadline)
+    succ = {v: teq_module._teq_rec(dom_of, table, dom_of[v] & top, deadline)
             for v in members(uncovered)}
     return succ, uncovered
 
@@ -513,8 +513,7 @@ class TestLazyExploration:
     def test_explores_until_the_rest_can_hold_no_minimal_set(self, beats, explored):
         t = Tournament(beats)
         everyone = full_set(t.order)
-        succ, got = teq_module._lazy_successors(t.dom_of, t.beats, {}, everyone,
-                                                uncovered(t, everyone), None)
+        succ, got = teq_module._lazy_successors(t.dom_of, {}, everyone, uncovered(t, everyone), None)
         assert members(got) == sorted(succ) == explored
         assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t)
 
@@ -622,15 +621,15 @@ class TestOrbitSharing:
 
     @staticmethod
     def orbit_calls(monkeypatch):
-        """The sets ``_orbit_successors`` is called on from now on, in call order."""
+        """The sets ``_share_orbit`` is called on from now on, in call order."""
         calls = []
 
-        def counted(dom_of, beats, table, top, deadline):
+        def counted(dom_of, table, top, deadline):
             calls.append(top)
-            return orbit(dom_of, beats, table, top, deadline)
+            return orbit(dom_of, table, top, deadline)
 
-        orbit = teq_module._orbit_successors
-        monkeypatch.setattr(teq_module, "_orbit_successors", counted)
+        orbit = teq_module._share_orbit
+        monkeypatch.setattr(teq_module, "_share_orbit", counted)
         return calls
 
     def test_regular_uncovered_set_above_a_dominated_tail(self, monkeypatch):
@@ -674,6 +673,22 @@ class TestOrbitSharing:
         minimal_retentive_sets(z3_regular((2,), (0, 7, 14, 1, 4)))
         assert calls.count(None) == 1
 
+    @pytest.mark.parametrize("t", [relabelled_paley(p) for p in (19, 23, 31, 43)]
+                             + [z3_regular(r, (0, 7, 14)) for r in ((0,), (0, 1, 3), (2, 5))],
+                             ids=["paley19", "paley23", "paley31", "paley43", "z3-0", "z3-013", "z3-25"])
+    def test_sharing_only_seeds_the_memo(self, monkeypatch, t):
+        # with the orbit step a no-op every successor comes from its own
+        # recursion, so the mapped ones are checked against it, dominator sets
+        # far beyond the oracle's reach included (21 members in Paley 43)
+        shared = TeqCache(t)
+        sets = minimal_retentive_sets(t, shared)
+        monkeypatch.setattr(teq_module, "_share_orbit", lambda dom_of, table, top, deadline: None)
+        plain = TeqCache(t)
+        assert minimal_retentive_sets(t, plain) == sets
+        common = shared.table.keys() & plain.table.keys()
+        assert all(t.dom_of[v] in common for v in members(sum(sets)))
+        assert all(shared.table[s] == plain.table[s] for s in common)
+
     def test_expired_deadline_raises(self):
         t = relabelled_paley(31)
         with pytest.raises(DeadlineExceeded):
@@ -688,8 +703,7 @@ class TestOrbitSharing:
         cache = TeqCache(t)
         minimal_retentive_sets(t, cache)
         with pytest.raises(DeadlineExceeded):
-            teq_module._orbit_successors(t.dom_of, t.beats, cache.table, full_set(31),
-                                         time.monotonic() - 1)
+            teq_module._share_orbit(t.dom_of, cache.table, full_set(31), time.monotonic() - 1)
 
 
 class TestIsRetentive:
