@@ -8,7 +8,6 @@ arithmetic up to the order cap of 64.
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 
 MAX_ORDER = 64
@@ -282,17 +281,19 @@ def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[
             cells_b: list[AltSet]) -> tuple[list[AltSet], list[AltSet]] | None:
     """The coarsest equitable refinement of both partitions, split in lockstep, or None.
 
-    A FIFO queue holds the indices of the cells still to be used as
-    splitters, every cell at the start. A splitter S splits each cell of
-    several members by each member's out-degree into S, parts in ascending
-    key: the first part keeps the cell's index, the others are appended and
-    queued, and the cell is queued again unless it is already waiting. A
-    singleton splitter {u} splits a cell c into ``c & beats[u]`` (key 0) and
-    the rest (key 1), so it costs two ANDs and a size comparison per cell.
-    Singleton cells never split again, so only the cells of several members
-    are visited. Refinement ends when the queue is empty or every cell is a
-    singleton. The partition is then equitable: every member of a cell has
-    the same out-degree into every cell.
+    The cells are walked in list order, each used once as a splitter, and
+    the list grows as cells split, so the walk ends when it reaches the end
+    of the list or every cell is a singleton. A splitter S splits each cell
+    of several members by each member's out-degree into S, parts in
+    ascending key: the first part keeps the cell's index, the others are
+    appended and so get their own turn. A kept part is not used again even
+    when its cell has already been used (Hopcroft 1971): a member's
+    out-degree into it is the out-degree into the old cell minus those into
+    the appended parts. A singleton splitter {u} splits a cell c into
+    ``c & beats[u]`` (key 0) and the rest (key 1), so it costs two ANDs and a
+    size comparison per cell. Singleton cells never split again, so only the
+    cells of several members are visited. The partition is then equitable:
+    every member of a cell has the same out-degree into every cell.
 
     Cell k of b splits exactly as cell k of a does (same keys, same part
     sizes) or no isomorphism maps cells_a[k] onto cells_b[k] for all k, and
@@ -300,13 +301,11 @@ def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[
     against every cell, in another order.
     """
     cells_a, cells_b = list(cells_a), list(cells_b)
-    queue = deque(range(len(cells_a)))
-    waiting = [True] * len(cells_a)
     wide = [k for k, c in enumerate(cells_a) if c & (c - 1)]  # cells of several members
-    while queue and wide:
-        s = queue.popleft()
-        waiting[s] = False
+    s = 0
+    while s < len(cells_a) and wide:
         splitter_a, splitter_b = cells_a[s], cells_b[s]
+        s += 1
         singleton = not splitter_a & (splitter_a - 1)
         if singleton:
             row_a = beats_a[splitter_a.bit_length() - 1]
@@ -333,14 +332,9 @@ def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[
             cells_a[k], cells_b[k] = parts_a[0], parts_b[0]
             if parts_a[0] & (parts_a[0] - 1):
                 still_wide.append(k)
-            if not waiting[k]:
-                waiting[k] = True
-                queue.append(k)
             for part_a, part_b in zip(parts_a[1:], parts_b[1:]):
                 if part_a & (part_a - 1):
                     still_wide.append(len(cells_a))
-                queue.append(len(cells_a))
-                waiting.append(True)
                 cells_a.append(part_a)
                 cells_b.append(part_b)
         wide = still_wide
@@ -409,8 +403,11 @@ def parse(text: str) -> Tournament:
         raise FormatError("line 1: missing order header")
     header = lines[0].strip()
     try:
+        # int() alone would also take "+10", "1_0" and the digits of other scripts
+        if not (header.isascii() and header.removeprefix("-").isdigit()):
+            raise ValueError(header)
         order = int(header)
-    except ValueError:
+    except ValueError:  # also raised by int() for a header of thousands of digits
         raise FormatError(f"line 1: expected integer order, got {header!r}") from None
     if not 1 <= order <= MAX_ORDER:
         raise FormatError(f"line 1: order must be between 1 and {MAX_ORDER}, got {order}")

@@ -180,13 +180,10 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
     if size <= 3:
         return [uncovered]
     # U is a regular top cycle iff it has odd size, each member is beaten by
-    # half the rest of U and by none outside it (proof above); the lowest
-    # member is checked first, so most sets are rejected at once
-    outside = subset ^ uncovered
-    if (size >= _ORBIT_MIN_SIZE and size & 1
-            and (dom_of[(uncovered & -uncovered).bit_length() - 1] & uncovered).bit_count() == size >> 1
-            and all((dom_of[v] & uncovered).bit_count() == size >> 1 and not dom_of[v] & outside
-                    for v in iter_members(uncovered))):
+    # half the rest of U and by none outside it (proof above)
+    if size >= _ORBIT_MIN_SIZE and size & 1 and all(
+            (dom_of[v] & uncovered).bit_count() == size >> 1 and not dom_of[v] & subset & ~uncovered
+            for v in iter_members(uncovered)):
         _share_orbit(dom_of, table, uncovered, deadline)
     return _terminal_scc_masks(*_lazy_successors(dom_of, table, subset, uncovered, deadline))
 

@@ -57,6 +57,10 @@ class TestNewTournament:
         with pytest.raises(ValueError, match="reflexive"):
             Tournament([0b11, 0])
 
+    def test_row_beyond_order_rejected(self):
+        with pytest.raises(ValueError, match="^alternative 1 dominates out-of-range alternatives$"):
+            Tournament([0, 0b101])
+
     @pytest.mark.parametrize("order", [0, 65])
     def test_order_bounds(self, order):
         with pytest.raises(ValueError, match="order"):
@@ -96,6 +100,11 @@ class TestDominators:
         with pytest.raises(IndexError):
             dominators(t, full_set(3), 3)
 
+    def test_within_out_of_range(self):
+        t = transitive_tournament(3)
+        with pytest.raises(ValueError, match="^within-set contains out-of-range alternatives$"):
+            dominators(t, 0b1001, 0)
+
     @given(seed=seeds, order=st.integers(2, 16))
     def test_definition_and_total_count(self, seed, order):
         t = random_t(order, seed)
@@ -127,6 +136,10 @@ class TestRestrict:
     def test_empty_subset(self):
         with pytest.raises(ValueError, match="empty"):
             restrict(transitive_tournament(3), 0)
+
+    def test_out_of_range_subset(self):
+        with pytest.raises(ValueError, match="^subset contains out-of-range alternatives$"):
+            restrict(transitive_tournament(3), 0b1010)
 
     def test_counterexample_x_half_dominator_row(self, big_t, instance):
         # inside T|X the dominators of x5 are x2, x3, x4, x8, x10, x11
@@ -174,6 +187,12 @@ class TestTrustedConstruction:
                 subset = rng.getrandbits(order) or 1
                 sub, _ = restrict(t, subset)
                 self.assert_validated(sub)
+
+    def test_hash_agrees_with_validated(self):
+        for order in (1, 2, 17, 64):
+            t = random_tournament(order, order)
+            validated = Tournament(t.beats)
+            assert t == validated and hash(t) == hash(validated)
 
 
 def brute_force_isomorphism(a, b):
@@ -262,6 +281,12 @@ class TestFindIsomorphism:
 
     def test_order_mismatch(self):
         assert find_isomorphism(transitive_tournament(3), transitive_tournament(4)) is None
+
+    @pytest.mark.parametrize("mapping", [[0, 1], [0, 1, 2, 0], [0, 0, 1], [0, 1, 3], [0, 1, -1]])
+    def test_mapping_not_a_permutation(self, mapping):
+        # [0, 1, -1] would read row -1, which is row 2, as the image of 2
+        t = cycle_tournament(3)
+        assert is_isomorphism(t, t, mapping) is False
 
     def test_relabeled_tournament_found(self):
         t = random_t(8, 99)
@@ -404,7 +429,7 @@ def refine_by_rounds(beats_a, beats_b, cells_a, cells_b):
 
 
 class TestRefine:
-    """The splitter-queue refinement against the round-by-round reference."""
+    """The refinement walk over the cell list against the round-by-round reference."""
 
     @given(order=st.integers(1, 20), seed=seeds, kind=st.sampled_from(["random", "circulant"]),
            data=st.data())
@@ -534,6 +559,23 @@ class TestParseSerialize:
     def test_bad_header(self):
         with pytest.raises(FormatError, match="line 1"):
             parse("abc\n01\n00\n")
+
+    @pytest.mark.parametrize("header, message", [
+        ("1_0", "expected integer order, got '1_0'"),
+        ("+10", "expected integer order, got '\\+10'"),
+        ("\u0661\u0660", "expected integer order, got '\u0661\u0660'"),  # Arabic-Indic digits for 10
+        ("-", "expected integer order, got '-'"),
+        ("9" * 5000, "expected integer order, got '9999"),
+        ("0", "order must be between 1 and 64, got 0"),
+        ("-1", "order must be between 1 and 64, got -1"),
+        ("65", "order must be between 1 and 64, got 65"),
+    ], ids=["underscore", "plus", "arabic-indic", "minus-only", "5000-digits", "zero", "negative", "65"])
+    def test_header_is_ascii_decimal(self, header, message):
+        # the rows are a valid order-10 matrix, so only the header can be at fault
+        rows = serialize(random_tournament(10, 0)).split("\n", 1)[1]
+        assert parse(" 10 \n" + rows) == random_tournament(10, 0)
+        with pytest.raises(FormatError, match="^line 1: " + message):
+            parse(header + "\n" + rows)
 
     def test_non_square(self):
         with pytest.raises(FormatError, match="line 2"):

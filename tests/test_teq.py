@@ -731,6 +731,10 @@ class TestIsRetentive:
         with pytest.raises(ValueError, match="empty"):
             is_retentive(TeqCache(big_t), 0)
 
+    def test_out_of_range_rejected(self, big_t):
+        with pytest.raises(ValueError, match="^set contains out-of-range alternatives$"):
+            is_retentive(TeqCache(big_t), 1 | 1 << 24)
+
 
 class TestMinimalRetentiveSets:
     def test_condorcet(self):
