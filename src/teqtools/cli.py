@@ -23,8 +23,9 @@ class UsageError(Exception):
     """Bad flag value detected after argument parsing (exit 2)."""
 
 
-def _parse_index_list(text: str) -> list[int]:
-    out = []
+def _index_list_to_mask(text: str, order: int, flag: str) -> int:
+    """Mask of a comma-separated 1-based list; every index parses before any is range-checked."""
+    indices = []
     for piece in text.split(","):
         piece = piece.strip()
         try:
@@ -33,11 +34,7 @@ def _parse_index_list(text: str) -> list[int]:
             raise UsageError(f"invalid index {piece!r}: expected a positive integer") from None
         if v < 1:
             raise UsageError(f"invalid index {v}: indices are 1-based")
-        out.append(v)
-    return out
-
-
-def _indices_to_mask(indices: list[int], order: int, flag: str) -> int:
+        indices.append(v)
     mask = 0
     for v in indices:
         if v > order:
@@ -108,7 +105,7 @@ def _cmd_minimal_retentive(args):
 
 def _cmd_retentive(args):
     t = _load(args.file)
-    mask = _indices_to_mask(_parse_index_list(args.set), t.order, "--set")
+    mask = _index_list_to_mask(args.set, t.order, "--set")
     result = is_retentive(TeqCache(t), mask)
     return (0 if result else 1,
             {"command": "retentive", "file": args.file,
@@ -125,7 +122,7 @@ def _cmd_dominators(args):
     if args.within is None:
         within = core.full_set(t.order)
     else:
-        within = _indices_to_mask(_parse_index_list(args.within), t.order, "--within")
+        within = _index_list_to_mask(args.within, t.order, "--within")
     result = core.dominators(t, within, args.alt - 1)
     return (0,
             {"command": "dominators", "file": args.file, "alt": args.alt,

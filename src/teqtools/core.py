@@ -173,7 +173,7 @@ def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool
     """Check that ``mapping`` is a dominance-preserving bijection from a to b."""
     if a.order != b.order or len(mapping) != a.order:
         return False
-    if sorted(mapping) != list(range(b.order)):
+    if not all(isinstance(v, int) for v in mapping) or sorted(mapping) != list(range(b.order)):
         return False
     for i in range(a.order):
         for j in range(a.order):

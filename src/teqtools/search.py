@@ -15,7 +15,11 @@ from collections import namedtuple
 from .core import MAX_ORDER, Tournament, derive_seed, random_tournament, serialize
 from .teq import DeadlineExceeded, TeqCache, minimal_retentive_sets
 
-MODES = ("uniform", "structured")
+_SOURCES = {
+    "uniform": random_tournament,
+    "structured": lambda order, seed: compose_structured(random_tournament(order // 2, seed), order // 4),
+}
+MODES = tuple(_SOURCES)
 DEFAULT_WITNESS_CAP = 10
 
 
@@ -82,8 +86,8 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
 def search_random(config: SearchConfig) -> SearchReport:
     """Run ``config.trials`` independent trials and count multi-set findings.
 
-    Trial t is seeded with derive_seed(config.seed, t), so a run is
-    reproducible and trials could be distributed without changing the report.
+    Trial t draws ``_SOURCES[config.mode](config.order, derive_seed(config.seed, t))``,
+    so a run is reproducible and trials could be distributed without changing the report.
     Witnesses (serialized tournaments with >= 2 minimal retentive sets) are
     kept up to the cap; counts stay exact. Trials that exceed the per-trial
     time budget are counted as timed out, never as findings.
@@ -94,11 +98,7 @@ def search_random(config: SearchConfig) -> SearchReport:
     max_trial_seconds = 0.0
     started = time.monotonic()
     for trial in range(config.trials):
-        trial_seed = derive_seed(config.seed, trial)
-        if config.mode == "uniform":
-            t = random_tournament(config.order, trial_seed)
-        else:
-            t = compose_structured(random_tournament(config.order // 2, trial_seed), config.order // 4)
+        t = _SOURCES[config.mode](config.order, derive_seed(config.seed, trial))
         trial_started = time.monotonic()
         deadline = None if config.time_budget is None else trial_started + config.time_budget
         try:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import settings
 
 import teqtools
-from teqtools.core import Tournament, altset, members
+import teqtools.search
+from teqtools.core import Tournament, altset, members, restrict
 from teqtools.counterexample import GOLDEN_FILE, build_counterexample
 
 # A falsified property test prints its @reproduce_failure blob, so a failure
@@ -106,6 +107,13 @@ def instance():
 @pytest.fixture(scope="session")
 def big_t(instance):
     return instance.tournament
+
+
+@pytest.fixture
+def embedded_half(monkeypatch, big_t, instance):
+    """Every structured-mode search trial draws the X half of the embedded instance."""
+    half, _ = restrict(big_t, instance.x_set)
+    monkeypatch.setattr(teqtools.search, "random_tournament", lambda order, seed: half)
 
 
 @pytest.fixture(scope="session")

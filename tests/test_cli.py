@@ -278,6 +278,20 @@ class TestSearchCommand:
         assert out_dir.is_dir()
         assert list(out_dir.iterdir()) == []
 
+    def test_witness_files_written(self, capsys, tmp_path, big_t, embedded_half):
+        out_dir = tmp_path / "wit"
+        argv = ["search", "--order", "24", "--trials", "3", "--seed", "0", "--mode", "structured",
+                "--witness-cap", "2", "--witness-dir", str(out_dir)]
+        files = [out_dir / "witness_000.txt", out_dir / "witness_001.txt"]
+        assert main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["found"], payload["witness_files"]) == (3, [str(path) for path in files])
+        assert sorted(out_dir.iterdir()) == files  # the cap holds: no witness_002.txt
+        assert all(parse(path.read_text()) == big_t for path in files)
+        assert main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == [f"witness written: {path}" for path in files]
+
     def test_unusable_witness_dir_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
         afile = tmp_path / "afile"
         afile.write_text("")

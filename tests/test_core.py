@@ -282,9 +282,11 @@ class TestFindIsomorphism:
     def test_order_mismatch(self):
         assert find_isomorphism(transitive_tournament(3), transitive_tournament(4)) is None
 
-    @pytest.mark.parametrize("mapping", [[0, 1], [0, 1, 2, 0], [0, 0, 1], [0, 1, 3], [0, 1, -1]])
+    @pytest.mark.parametrize("mapping", [[0, 1], [0, 1, 2, 0], [0, 0, 1], [0, 1, 3], [0, 1, -1],
+                                         [0.0, 1, 2], [0, 1.0, 2], [0, None, 2]])
     def test_mapping_not_a_permutation(self, mapping):
-        # [0, 1, -1] would read row -1, which is row 2, as the image of 2
+        # [0, 1, -1] would read row -1, which is row 2, as the image of 2; 0.0 sorts
+        # equal to 0 but cannot index a row, and None cannot be sorted with ints
         t = cycle_tournament(3)
         assert is_isomorphism(t, t, mapping) is False
 

@@ -1,7 +1,7 @@
 import pytest
 
 import teqtools.search
-from teqtools.core import full_set, parse, random_tournament, restrict
+from teqtools.core import derive_seed, full_set, parse, random_tournament, restrict, serialize
 from teqtools.search import SearchConfig, compose_structured, search_random
 from teqtools.teq import minimal_retentive_sets
 
@@ -78,11 +78,22 @@ class TestSearchRandom:
         report = search_random(SearchConfig(order=8, trials=30, seed=9, mode="structured"))
         assert report.found == 0
 
-    @pytest.fixture
-    def embedded_half(self, monkeypatch, big_t, instance):
-        """Every structured-mode trial draws the X half of the embedded instance."""
-        half, _ = restrict(big_t, instance.x_set)
-        monkeypatch.setattr(teqtools.search, "random_tournament", lambda order, seed: half)
+    @pytest.mark.parametrize("mode, order", [("uniform", 9), ("structured", 16)])
+    def test_each_trial_draws_its_documented_tournament(self, monkeypatch, mode, order):
+        drawn = []
+
+        def spy(t, cache):
+            drawn.append(serialize(t))
+            return minimal_retentive_sets(t, cache)
+
+        monkeypatch.setattr(teqtools.search, "minimal_retentive_sets", spy)
+        search_random(SearchConfig(order=order, trials=6, seed=314, mode=mode))
+        seeds = [derive_seed(314, trial) for trial in range(6)]
+        if mode == "uniform":
+            expected = [random_tournament(order, seed) for seed in seeds]
+        else:
+            expected = [compose_structured(random_tournament(order // 2, seed), order // 4) for seed in seeds]
+        assert drawn == [serialize(t) for t in expected]
 
     def test_injected_half_finds_the_instance(self, big_t, embedded_half):
         config = SearchConfig(order=24, trials=1, seed=0, mode="structured")
