@@ -72,8 +72,8 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
     n = half.order
     if n % 2:
         raise ValueError(f"half must have even order, got {n}")
-    if split != n // 2:
-        raise ValueError(f"split must be half the order ({n // 2}), got {split}")
+    if not 1 <= split <= n - 1:
+        raise ValueError(f"split must be between 1 and {n - 1}, got {split}")
     if 2 * n > MAX_ORDER:
         raise ValueError(f"composed order {2 * n} exceeds {MAX_ORDER}")
     block1 = (1 << split) - 1

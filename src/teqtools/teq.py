@@ -3,12 +3,13 @@
 TEQ(T) is the union of all inclusion-minimal TEQ-retentive sets of T, where a
 nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
 x in S that has dominators. These sets are exactly the terminal SCCs of the
-relation graph x -> TEQ(dominators(x)), found by comparing bitset
-reach-sets. TEQ lies in the uncovered set (Schwartz 1990: TEQ is inside the
-Banks set, which is inside the uncovered set), so a covered member is in no
-terminal SCC; the uncovered set also lies in the top cycle (the least
-nonempty part that dominates the rest), so one coverage pass over a subset
-does the top cycle's pruning too. The recursion therefore only descends into
+relation graph x -> TEQ(dominators(x)), peeled off one at a time by a
+forward and a backward closure from the lowest member left. TEQ lies in
+the uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is
+inside the uncovered set), so a covered member is in no terminal SCC; the
+uncovered set also lies in the top cycle (the least nonempty part that
+dominates the rest), so one coverage pass over a subset does the top
+cycle's pruning too. The recursion therefore only descends into
 dominator subsets of uncovered members, memoised by subset bitmask, and only
 of those that can matter: it explores the lowest uncovered member and every
 uncovered member its successors reach, and explores the next unexplored one
@@ -69,35 +70,49 @@ class TeqCache:
 def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[AltSet]:
     """Terminal SCCs (no outgoing edges) of the graph that lie in ``candidates``.
 
-    Computes each candidate's reach-set (itself plus everything reachable) by
-    frontier closure, taking a finished reach-set whole. A vertex lies in a
-    terminal SCC iff every member of its reach-set has that same reach-set,
-    which is then the component. ``succ`` has a key for every candidate.
-    Closure stops at the first non-candidate reached: a terminal SCC holds
-    everything its members reach, so a reach-set holding a non-candidate
-    never equals its group of candidates and no vertex that reaches one is
-    reported. Output ordered by smallest member: candidates are visited in
-    ascending order, so a component's key is inserted at its smallest member.
+    Peels components forward and backward (Fleischer, Hendrickson & Pinar
+    2000). ``rest`` starts as ``candidates``; c is its lowest member. The
+    forward closure F of c (c plus everything it reaches) is built by
+    frontier closure and abandoned at the first vertex outside ``rest``. The
+    backward closure B of c inside ``rest`` (the members that reach c
+    through ``rest``) is built by passes over ``rest`` until a pass adds
+    nothing. If F lies in B, every vertex c reaches reaches c back, so F is
+    c's component and, being closed under successors, terminal. Either way
+    B leaves ``rest``: every member of B reaches c, so a member of B in a
+    terminal SCC would put c in that SCC, which is then F, found now. A
+    vertex left in ``rest`` that reaches a removed one therefore lies in no
+    terminal SCC, so the forward closure may stop there. So may it at a
+    non-candidate: a terminal SCC holds everything its members reach, so one
+    that reaches outside the candidates does not lie in them. ``succ`` has a
+    key for every candidate. Output ordered by smallest member: F lies in
+    ``rest``, whose lowest member is c, and c rises from one peel to the
+    next.
     """
-    outside = ~candidates
-    reach: dict[int, AltSet] = {}
-    groups: dict[AltSet, AltSet] = {}  # reach-set -> the vertices that have it
+    found = []
     rest = candidates
     while rest:
         bit = rest & -rest
-        rest ^= bit
-        seen = closed = 0
+        forward = closed = 0
         todo = bit
-        while todo and not seen & outside:
+        while todo and not forward & ~rest:
             low = todo & -todo
-            w = low.bit_length() - 1
-            done = reach.get(w, low)
-            seen |= done | succ[w]
-            closed |= done
-            todo = seen & ~closed
-        reach[bit.bit_length() - 1] = seen
-        groups[seen] = groups.get(seen, 0) | bit
-    return [r for r, g in groups.items() if g == r]
+            forward |= low | succ[low.bit_length() - 1]
+            closed |= low
+            todo = forward & ~closed
+        back = bit
+        before = 0
+        while back != before:
+            before = back
+            pending = rest & ~back
+            while pending:
+                low = pending & -pending
+                pending ^= low
+                if succ[low.bit_length() - 1] & back:
+                    back |= low
+        if not forward & ~back:
+            found.append(forward)
+        rest &= ~back
+    return found
 
 
 def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,

@@ -19,7 +19,9 @@ Two groups of inputs, built from the public API with fixed seeds:
 Opcode events come from ``sys.settrace`` and are counted only in frames whose
 code lives in the teqtools package. Per group, the script prints the total,
 the functions that executed the most opcodes, and a digest of the results, so
-a change that alters an answer shows in the digest. Counts vary with the
+a change that alters an answer shows in the digest. ``--json`` prints the
+same per group as one JSON object (keys ``opcodes``, ``inputs``,
+``results`` and ``top``) for scripts to read. Counts vary with the
 Python version, so compare them under one interpreter.
 """
 
@@ -91,26 +93,38 @@ def counted(fn, inputs):
     return counts, results
 
 
-def report(name, counts, results):
+def summary(counts, results):
+    """Total opcodes, input count, result digest and the busiest functions of one group."""
     by_function = collections.Counter()
     for code, n in counts.items():
         by_function[getattr(code, "co_qualname", code.co_name)] += n
     digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()[:16]
-    print(f"{name}: {sum(by_function.values()):,} opcodes over {len(results)} inputs, "
-          f"results {digest}")
-    for function, n in by_function.most_common(TOP):
-        print(f"  {n:>12,}  {function}")
+    return {"opcodes": sum(by_function.values()), "inputs": len(results), "results": digest,
+            "top": [{"function": f, "opcodes": n} for f, n in by_function.most_common(TOP)]}
+
+
+def print_text(name, group):
+    print(f"{name}: {group['opcodes']:,} opcodes over {group['inputs']} inputs, "
+          f"results {group['results']}")
+    for row in group["top"]:
+        print(f"  {row['opcodes']:>12,}  {row['function']}")
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--small", action="store_true", help="a few inputs per group")
+    parser.add_argument("--json", action="store_true", help="print the groups as one JSON object")
     args = parser.parse_args(argv)
-    search = counted(lambda c: search_random(c).to_dict(include_timing=False),
-                     search_inputs(args.small))
-    report("search", *search)
-    regular = counted(minimal_retentive_sets, regular_inputs(args.small))
-    report("regular", *regular)
+    groups = {
+        "search": summary(*counted(lambda c: search_random(c).to_dict(include_timing=False),
+                                   search_inputs(args.small))),
+        "regular": summary(*counted(minimal_retentive_sets, regular_inputs(args.small))),
+    }
+    if args.json:
+        print(json.dumps(groups, indent=2))
+    else:
+        for name, group in groups.items():
+            print_text(name, group)
 
 
 if __name__ == "__main__":

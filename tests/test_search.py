@@ -1,7 +1,7 @@
 import pytest
 
 import teqtools.search
-from teqtools.core import derive_seed, full_set, parse, random_tournament, restrict, serialize
+from teqtools.core import Tournament, derive_seed, full_set, parse, random_tournament, restrict, serialize
 from teqtools.search import SearchConfig, compose_structured, search_random
 from teqtools.teq import minimal_retentive_sets
 
@@ -28,8 +28,15 @@ class TestComposeStructured:
             compose_structured(transitive_tournament(3), 1)
 
     def test_wrong_split_rejected(self):
-        with pytest.raises(ValueError, match="split"):
-            compose_structured(transitive_tournament(4), 1)
+        for split in (0, 4):
+            with pytest.raises(ValueError, match="split"):
+                compose_structured(transitive_tournament(4), split)
+
+    def test_every_split_gives_a_tournament(self):
+        half = random_tournament(8, 18)
+        for split in range(1, 8):
+            t = compose_structured(half, split)
+            assert Tournament(t.beats) == t
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):

@@ -65,6 +65,21 @@ def reach_sets(edges, verts):
     return reach
 
 
+def terminal_components(edges, verts):
+    """Terminal SCCs of edges over verts, ordered by smallest member, from plain reach-sets.
+
+    v's component is what v reaches and reaches v; it is terminal iff nothing
+    it reaches lies outside it.
+    """
+    reach = reach_sets(edges, verts)
+    found = []
+    for v in sorted(verts):
+        comp = altset(w for w in members(reach[v]) if (reach[w] >> v) & 1)
+        if reach[v] == comp and comp not in found:
+            found.append(comp)
+    return found
+
+
 def top_cycle(t, subset):
     """Members of subset that reach every member of subset by dominance inside it."""
     verts = members(subset)
@@ -801,26 +816,35 @@ class TestTerminalSccs:
     def test_no_edges_all_singletons(self):
         assert _terminal_scc_masks({0: 0, 1: 0, 2: 0}, 0b111) == [0b001, 0b010, 0b100]
 
-    @given(order=st.integers(1, 8), data=st.data())
+    def test_every_digraph_on_four_vertices(self):
+        # all 2^12 arc sets on 4 vertices, each with every nonempty candidate set,
+        # given successors for the candidates only
+        verts = range(4)
+        arcs = [(v, w) for v in verts for w in verts if v != w]
+        for pattern in range(1 << len(arcs)):
+            succ = dict.fromkeys(verts, 0)
+            for i, (v, w) in enumerate(arcs):
+                if pattern >> i & 1:
+                    succ[v] |= 1 << w
+            expected = terminal_components(succ, verts)
+            for candidates in range(1, 16):
+                got = _terminal_scc_masks({v: succ[v] for v in members(candidates)}, candidates)
+                assert got == [c for c in expected if c & ~candidates == 0], (pattern, candidates)
+
+    @given(order=st.integers(1, 16), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_random_digraphs_against_closure(self, order, data):
-        verts = data.draw(st.lists(st.integers(0, 9), min_size=order, max_size=order, unique=True))
+        verts = data.draw(st.lists(st.integers(0, 19), min_size=order, max_size=order, unique=True))
         universe = altset(verts)
         succ = {v: data.draw(st.integers(0, universe)) & universe & ~(1 << v) for v in verts}
-        reach = reach_sets(succ, verts)
-        expected = []
-        for v in sorted(verts):
-            # v's component is what v reaches and reaches v; it is terminal iff
-            # nothing it reaches lies outside it
-            comp = altset(w for w in members(reach[v]) if (reach[w] >> v) & 1)
-            if reach[v] == comp and comp not in expected:
-                expected.append(comp)
+        expected = terminal_components(succ, verts)
         assert _terminal_scc_masks(succ, universe) == expected
         # restricted to candidates, with no successors given for the rest: only
         # the terminal SCCs inside the candidates remain, and none reaches out
         candidates = data.draw(st.integers(0, universe)) & universe
         restricted = _terminal_scc_masks({v: succ[v] for v in members(candidates)}, candidates)
         assert restricted == [c for c in expected if c & ~candidates == 0]
+        reach = reach_sets(succ, verts)
         for comp in restricted:
             for v in members(comp):
                 assert reach[v] == comp
