@@ -396,9 +396,11 @@ def parse(text: str) -> Tournament:
     """Parse the canonical text format (see ``serialize``).
 
     Checks the syntax line by line; pair errors come from the ``Tournament``
-    constructor, prefixed with the line of the pair's larger index.
+    constructor, prefixed with the line of the pair's larger index. Lines
+    end in LF or CRLF.
     """
-    lines = text.splitlines()
+    # str.splitlines would also split a row at a lone \r, \v, \f, \x1c-\x1e, \x85, \u2028 or \u2029
+    lines = [line.removesuffix("\r") for line in text.removesuffix("\n").split("\n")] if text else []
     if not lines:
         raise FormatError("line 1: missing order header")
     header = lines[0].strip()

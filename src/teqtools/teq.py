@@ -4,26 +4,29 @@ TEQ(T) is the union of all inclusion-minimal TEQ-retentive sets of T, where a
 nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
 x in S that has dominators. These sets are exactly the terminal SCCs of the
 relation graph x -> TEQ(dominators(x)), peeled off one at a time by a
-forward and a backward closure from the lowest member left. TEQ lies in
-the uncovered set (Schwartz 1990: TEQ is inside the Banks set, which is
-inside the uncovered set), so a covered member is in no terminal SCC; the
-uncovered set also lies in the top cycle (the least nonempty part that
-dominates the rest), so one coverage pass over a subset does the top
-cycle's pruning too. The recursion therefore only descends into
-dominator subsets of uncovered members, memoised by subset bitmask, and only
-of those that can matter: it explores the lowest uncovered member and every
-uncovered member its successors reach, and explores the next unexplored one
-only while the unexplored uncovered members W could still hold a minimal
-set, that is while |W| >= 3 and no member beats all of W. A retentive set is
-dominant (proof at ``_minimal_sets``), so a minimal set inside W would be
-beaten by no outsider. Two cases need no recursion: a subset of one or two
-members is its Condorcet winner, and a subset with at most three uncovered
-members has them as its one minimal set (proof at ``_minimal_sets``). TEQ is
-also neutral: an automorphism maps TEQ of a set onto TEQ of its image. So
-when the uncovered members form a large regular tournament that beats every
-other member, the recursion runs once for the lowest member, and the
-successors of every member found in its orbit are that one mapped through
-an automorphism (individualisation-refinement, ``core._match``). They only
+forward and a backward closure from the lowest member left. Every edge of
+that graph points into the uncovered set, by a short lemma from the
+definition (proof at ``_minimal_sets``; Schwartz 1990 reaches TEQ in the
+uncovered set through the Banks set), so a covered member is in no
+terminal SCC; the uncovered set also lies in the top cycle (the least
+nonempty part that dominates the rest), so one coverage pass over a subset
+does the top cycle's pruning too. The recursion therefore only descends
+into dominator subsets of uncovered members, memoised by subset bitmask,
+and only of those that can matter: it explores the lowest uncovered member
+and every member its successors reach, all uncovered by the lemma, and
+explores the next unexplored one only while the unexplored uncovered
+members W could still hold a minimal set, that is while |W| >= 3 and no
+member beats all of W. A retentive set is dominant (proof at
+``_minimal_sets``), so a minimal set inside W would be beaten by no
+outsider. Two cases need no recursion: the coverage pass returns a
+Condorcet winner at once, which answers every subset of one or two
+members, and a subset with at most three uncovered members has them as
+its one minimal set (proof at ``_minimal_sets``). TEQ is also neutral: an
+automorphism maps TEQ of a set onto TEQ of its image. So when the
+uncovered members form a large regular tournament that beats every other
+member, the recursion runs once for the lowest member, and the successors
+of every member found in its orbit are that one mapped through an
+automorphism (individualisation-refinement, ``core._match``). They only
 seed the memo: the exploration above runs as always and finds them there.
 ``teq_bruteforce`` is an independent oracle that transcribes the definition
 literally (subset enumeration, no SCC shortcut, no covering argument, no
@@ -72,21 +75,16 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
 
     Peels components forward and backward (Fleischer, Hendrickson & Pinar
     2000). ``rest`` starts as ``candidates``; c is its lowest member. The
-    forward closure F of c (c plus everything it reaches) is built by
-    frontier closure and abandoned at the first vertex outside ``rest``. The
-    backward closure B of c inside ``rest`` (the members that reach c
-    through ``rest``) is built by passes over ``rest`` until a pass adds
-    nothing. If F lies in B, every vertex c reaches reaches c back, so F is
-    c's component and, being closed under successors, terminal. Either way
-    B leaves ``rest``: every member of B reaches c, so a member of B in a
-    terminal SCC would put c in that SCC, which is then F, found now. A
-    vertex left in ``rest`` that reaches a removed one therefore lies in no
-    terminal SCC, so the forward closure may stop there. So may it at a
-    non-candidate: a terminal SCC holds everything its members reach, so one
-    that reaches outside the candidates does not lie in them. ``succ`` has a
-    key for every candidate. Output ordered by smallest member: F lies in
-    ``rest``, whose lowest member is c, and c rises from one peel to the
-    next.
+    forward closure F of c (c plus everything it reaches through
+    candidates) is built by frontier closure. The backward closure B of c
+    inside ``rest`` (the members that reach c through ``rest``) is built by
+    passes over ``rest`` until a pass adds nothing. If F lies in B, every
+    vertex c reaches reaches c back, so F is c's component and, being
+    closed under successors, terminal. Either way B leaves ``rest``: every
+    member of B reaches c, so a member of B in a terminal SCC would put c in
+    that SCC, which is then F, found now. ``succ`` has a key for every
+    candidate. Output ordered by smallest member: F lies in ``rest``, whose
+    lowest member is c, and c rises from one peel to the next.
     """
     found = []
     rest = candidates
@@ -94,11 +92,11 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
         bit = rest & -rest
         forward = closed = 0
         todo = bit
-        while todo and not forward & ~rest:
+        while todo:
             low = todo & -todo
             forward |= low | succ[low.bit_length() - 1]
             closed |= low
-            todo = forward & ~closed
+            todo = forward & candidates & ~closed
         back = bit
         before = 0
         while back != before:
@@ -121,24 +119,35 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
 
     They are the terminal SCCs of the relation graph x -> TEQ(dominators of
     x in ``subset``), and they lie in the uncovered set U: v is covered when
-    a member y beats v and everything v beats in ``subset``. TEQ lies in U
-    (Schwartz 1990), so a covered member is in no terminal SCC, and neither
-    is any member that reaches one. One pass finds U. A member with no
-    dominator is the Condorcet winner and the one minimal set. At most three
-    uncovered members are the one minimal set, with no recursion. When U has
-    at least ``_ORBIT_MIN_SIZE`` members, is regular and beats every member
-    outside it, ``_share_orbit`` first seeds the memo with the successors of
-    the lowest member's orbit under its automorphism group.
+    a member y beats v and everything v beats in ``subset``. Every edge of
+    the graph points into U (lemma below). A covered member has dominators,
+    so it has a successor, and no edge points to it, so it is in no terminal
+    SCC. One pass finds U. A member with no dominator is the Condorcet
+    winner and the one minimal set; the pass returns it at once, which
+    answers every subset of one or two members. At most three uncovered
+    members are the one minimal set, with no recursion. When U has at least
+    ``_ORBIT_MIN_SIZE`` members, is regular and beats every member outside
+    it, ``_share_orbit`` first seeds the memo with the successors of the
+    lowest member's orbit under its automorphism group.
 
     Successors are built lazily (``_lazy_successors``), finding seeded ones
-    in the memo: for the lowest uncovered member, then for every uncovered
-    member they reach, so an explored member's whole reach is explored and
-    whether it lies in a terminal SCC is settled. A minimal set not yet
-    found lies in the unexplored uncovered members W, so it has at least
-    three members, and it is dominant in ``subset``: no member outside it
-    beats all of it. The next unexplored member is explored only while
-    |W| >= 3 and no member of ``subset`` beats all of W; otherwise W holds
-    no minimal set.
+    in the memo: for the lowest uncovered member, then for every member they
+    reach, all uncovered by the lemma, so an explored member's whole reach
+    is explored and whether it lies in a terminal SCC is settled. A minimal
+    set not yet found lies in the unexplored uncovered members W, so it has
+    at least three members, and it is dominant in ``subset``: no member
+    outside it beats all of it. The next unexplored member is explored only
+    while |W| >= 3 and no member of ``subset`` beats all of W; otherwise W
+    holds no minimal set.
+
+    Lemma: for every v in S = ``subset`` with dominators D = dom(v), TEQ(D)
+    lies in U = UC(S). Say y in D is covered in S by z. Then z beats y, and
+    y beats v, so z beats v. So z is in D, and z covers y inside D too,
+    since D lies in S. Hence y is outside UC(D), which holds TEQ(D) by
+    induction on |S|: D is smaller than S, and for every S the lemma gives
+    TEQ(S) in UC(S), since every edge points into UC(S) and a covered member
+    is in no terminal SCC, as above. (Schwartz 1990 reaches TEQ in UC
+    through the Banks set.)
 
     Write TC for the top cycle of ``subset``: its least nonempty part that
     dominates the rest. No member outside TC beats a member of TC.
@@ -207,13 +216,15 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], su
                      uncovered: AltSet, deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
     """Successors of the uncovered members of ``subset`` that can matter, and those members.
 
-    Explores the lowest unexplored uncovered member, then every uncovered
-    member its successors reach; covered members are never expanded. It
-    repeats while the unexplored uncovered members W could still hold a
-    minimal set: |W| >= 3 and no member of ``subset`` beats all of W (see
-    ``_minimal_sets``). Returns the successors and the explored members, the
-    candidates for ``_terminal_scc_masks``: an explored member reaches only
-    explored and covered members, so its status is settled.
+    Explores the lowest unexplored uncovered member, then every member its
+    successors reach. Every successor lies in the uncovered set (lemma at
+    ``_minimal_sets``), so covered members are never expanded and the
+    explored members are closed under successors. It repeats while the
+    unexplored uncovered members W could still hold a minimal set: |W| >= 3
+    and no member of ``subset`` beats all of W (see ``_minimal_sets``).
+    Returns the successors and the explored members, the candidates for
+    ``_terminal_scc_masks``: an explored member reaches only explored
+    members, so its status is settled.
     """
     succ = {}
     explored = 0
@@ -225,7 +236,7 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], su
             explored |= bit
             v = bit.bit_length() - 1
             found = succ[v] = _teq_rec(dom_of, table, dom_of[v] & subset, deadline)
-            todo = (todo | found & uncovered) & ~explored
+            todo = (todo | found) & ~explored
         unexplored = uncovered & ~explored
         if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, subset, unexplored):
             return succ, explored
@@ -254,6 +265,10 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
     member shown to lie outside r's orbit ends the step. An automorphism of
     "is beaten by" is one of the tournament, so the search reads ``dom_of``;
     it checks ``deadline`` too.
+
+    Every entry seeded is TEQ of its own key, for any ``top``: the
+    automorphisms are those of the tournament on ``top``, on which TEQ is
+    neutral. So the gate in ``_minimal_sets`` decides cost, never answers.
     """
     r = (top & -top).bit_length() - 1
     rest = top ^ (1 << r)
@@ -280,17 +295,13 @@ def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: Al
              deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
-    A subset of one or two members is its Condorcet winner; any other's TEQ
-    is the union of its minimal retentive sets.
+    TEQ is the union of the minimal retentive sets. A subset with a
+    Condorcet winner, as every subset of one or two members has, is
+    answered by the exit from ``_minimal_sets``'s coverage pass.
     """
     cached = table.get(subset)
     if cached is not None:
         return cached
-    low = subset & -subset
-    high = subset ^ low
-    if high & (high - 1) == 0:
-        result = table[subset] = high if dom_of[low.bit_length() - 1] & high else low
-        return result
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
     # the minimal sets are pairwise disjoint, so their sum is their union
@@ -343,11 +354,12 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
     """All inclusion-minimal TEQ-retentive sets of t, ordered by smallest member.
 
     These are the terminal SCCs of the relation graph on t; they are
-    pairwise disjoint and their union is teq(t). Successors are built only
-    for uncovered members, since TEQ lies in the uncovered set (Schwartz
-    1990), and a large regular uncovered set that beats every other member
-    shares them across automorphism orbits. A given ``cache`` must have
-    base t.
+    pairwise disjoint and their union is teq(t). A Condorcet winner ends
+    the coverage pass at once. Otherwise successors are built only for
+    uncovered members, since every successor lies in the uncovered set
+    (lemma at ``_minimal_sets``), and a large regular uncovered set that
+    beats every other member shares them across automorphism orbits. A
+    given ``cache`` must have base t.
     """
     if cache is None:
         cache = TeqCache(t)

@@ -21,14 +21,17 @@ code lives in the teqtools package. Per group, the script prints the total,
 the functions that executed the most opcodes, and a digest of the results, so
 a change that alters an answer shows in the digest. ``--json`` prints the
 same per group as one JSON object (keys ``opcodes``, ``inputs``,
-``results`` and ``top``) for scripts to read. Counts vary with the
-Python version, so compare them under one interpreter.
+``results`` and ``top``) for scripts to read, with the interpreter version
+under ``python``. Counts vary with the Python version, so compare them
+under one interpreter; ``BENCH_opcodes.json`` at the repository root holds
+the full-set output under Python 3.11.
 """
 
 import argparse
 import collections
 import hashlib
 import json
+import platform
 import random
 import sys
 from pathlib import Path
@@ -121,7 +124,7 @@ def main(argv=None):
         "regular": summary(*counted(minimal_retentive_sets, regular_inputs(args.small))),
     }
     if args.json:
-        print(json.dumps(groups, indent=2))
+        print(json.dumps({"python": platform.python_version(), **groups}, indent=2))
     else:
         for name, group in groups.items():
             print_text(name, group)

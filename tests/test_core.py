@@ -550,6 +550,20 @@ class TestParseSerialize:
     def test_parse_without_trailing_newline(self):
         assert parse("2\n01\n00") == parse("2\n01\n00\n")
 
+    def test_crlf_line_endings(self):
+        t = parse("3\n011\n001\n000\n")
+        assert parse("3\r\n011\r\n001\r\n000\r\n") == parse("3\r\n011\r\n001\r\n000") == t
+
+    @pytest.mark.parametrize("sep", ["\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_other_line_separators_are_row_characters(self, sep):
+        # str.splitlines would end a line at each of these
+        with pytest.raises(FormatError) as parsed:
+            parse(f"3\n0{sep}1\n001\n000\n")
+        assert str(parsed.value) == f"line 2: invalid character {sep!r} at column 2"
+        with pytest.raises(FormatError) as parsed:
+            parse(f"3\n011{sep}001\n000\n")
+        assert str(parsed.value) == "line 4: expected 3 matrix rows, found 2"
+
     def test_completeness_error_names_pair_and_line(self):
         with pytest.raises(FormatError, match=r"line 3: completeness violated at \(0,1\)"):
             parse("2\n00\n00\n")

@@ -404,18 +404,26 @@ class TestTopCyclePruning:
 
 
 class TestUncoveredPruning:
-    """TEQ lies in the uncovered set (Schwartz 1990); the recursion skips covered members."""
+    """Every successor lies in the uncovered set, and so does TEQ; the recursion skips covered members."""
+
+    @staticmethod
+    def check(t):
+        # TEQ of t and of every member's dominators, the lemma at _minimal_sets
+        uc = uncovered(t, full_set(t.order))
+        assert teq_bruteforce(t) & ~uc == 0, t.beats
+        for v in range(t.order):
+            if t.dom_of[v]:
+                assert lifted_oracle(t, t.dom_of[v]) & ~uc == 0, (t.beats, v)
 
     def test_teq_inside_uncovered_set_exhaustive(self):
         for n in range(1, 6):
             for t in all_tournaments(n):
-                assert teq_bruteforce(t) & ~uncovered(t, full_set(n)) == 0, t.beats
+                self.check(t)
 
     @given(seed=seeds, order=st.integers(6, 10))
     @settings(max_examples=100, deadline=None)
     def test_teq_inside_uncovered_set_random(self, seed, order):
-        t = random_tournament(order, seed)
-        assert teq_bruteforce(t) & ~uncovered(t, full_set(order)) == 0
+        self.check(random_tournament(order, seed))
 
     def test_strong_four_tournament(self):
         # 0 -> 1 -> 2 -> 3 -> 0 with 0 -> 2 and 1 -> 3: 1 beats 2 and 3, which
@@ -442,7 +450,7 @@ class TestUncoveredPruning:
 
 
 class TestSmallShortcuts:
-    """Settled with no recursion: a pair is its winner, at most three uncovered members the minimal set."""
+    """Settled with no recursion: a Condorcet winner, so every pair, and at most three uncovered members."""
 
     def test_uncovered_set_facts_exhaustive(self):
         # the uncovered set is never a pair, is one member exactly when that
@@ -482,7 +490,16 @@ class TestLazyExploration:
 
     @staticmethod
     def check(t):
-        (lazy_sets, lazy_memo), (eager_sets, eager_memo) = lazy_and_eager(t)
+        def closed(*args):
+            # the lemma at _minimal_sets: the explored members are closed under successors
+            succ, explored = lazy(*args)
+            assert all(found & ~explored == 0 for found in succ.values()), t.beats
+            return succ, explored
+
+        lazy = teq_module._lazy_successors
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(teq_module, "_lazy_successors", closed)
+            (lazy_sets, lazy_memo), (eager_sets, eager_memo) = lazy_and_eager(t)
         assert lazy_sets == eager_sets, t.beats
         assert lazy_memo.keys() <= eager_memo.keys(), t.beats
         assert all(eager_memo[key] == value for key, value in lazy_memo.items())
@@ -673,6 +690,13 @@ class TestOrbitSharing:
         calls = self.orbit_calls(monkeypatch)
         assert minimal_retentive_sets(t) == unpruned_minimal_sets(t)
         assert calls == []
+        # yet every entry the orbit step seeds on the block is TEQ of its own
+        # key, so the gate decides cost, never answers (Paley 19's dominator
+        # sets have 9 members)
+        table = {}
+        teq_module._share_orbit(t.dom_of, table, block, None)
+        assert all(t.dom_of[v] & block in table for v in members(block))
+        assert all(value == lifted_oracle(t, s) for s, value in table.items())
 
     def test_one_failed_search_per_top(self, monkeypatch):
         calls = []
@@ -867,9 +891,12 @@ class TestDeadline:
             teq_of_subset(cache, full_set(24))
 
     def test_expired_deadline_raises_with_condorcet_winner(self):
+        # subsets of one or two members too: a memo miss on them reaches the
+        # deadline check before the coverage pass answers it
         t = transitive_tournament(5)
-        with pytest.raises(DeadlineExceeded):
-            teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), full_set(5))
+        for subset in (full_set(5), 0b1000, 0b10100):
+            with pytest.raises(DeadlineExceeded):
+                teq_of_subset(TeqCache(t, deadline=time.monotonic() - 1), subset)
         with pytest.raises(DeadlineExceeded):
             minimal_retentive_sets(t, TeqCache(t, deadline=time.monotonic() - 1))
 
