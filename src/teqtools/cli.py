@@ -52,8 +52,9 @@ def _format_mask(mask: int) -> str:
 
 
 def _load(path: str) -> core.Tournament:
+    """Parse the file's exact bytes, decoded as strict UTF-8: no newline translation, no locale."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as e:  # a ValueError, which main would report as a usage error
         raise core.FormatError(f"{path}: {e}") from None
     return core.parse(text)

@@ -18,10 +18,16 @@ explores the next unexplored one only while the unexplored uncovered
 members W could still hold a minimal set, that is while |W| >= 3 and no
 member beats all of W. A retentive set is dominant (proof at
 ``_minimal_sets``), so a minimal set inside W would be beaten by no
-outsider. Two cases need no recursion: the coverage pass returns a
-Condorcet winner at once, which answers every subset of one or two
-members, and a subset with at most three uncovered members has them as
-its one minimal set (proof at ``_minimal_sets``). TEQ is also neutral: an
+outsider. The same lemma hands each dominator set D the parent's uncovered
+members inside it as its candidates: only they can be uncovered in D, so
+the child's coverage pass tests only them. Three cases need no recursion:
+the coverage pass returns a Condorcet winner at once, which answers every
+subset of one or two members; a subset with at most three uncovered
+members has them as its one minimal set; and a dominator set with at most
+three candidates has as TEQ their Condorcet winner, or all of them if
+there is none, answered without a call (proofs at ``_minimal_sets``). The
+first closure the exploration builds is the forward closure the peel
+starts from, so it is built once. TEQ is also neutral: an
 automorphism maps TEQ of a set onto TEQ of its image. So when the
 uncovered members form a large regular tournament that beats every other
 member, the recursion runs once for the lowest member, and the successors
@@ -52,9 +58,12 @@ class TeqCache:
 
     A subset of a fixed base fully determines the induced subtournament, so
     the bitmask is a sound memo key. Besides the subsets the recursion
-    visits, the table holds successors that the orbit step seeds: mapped
-    through an automorphism of a regular top cycle, keyed by a member's
-    dominators in the top cycle, and read by the exploration as memo hits.
+    visits, the table holds the dominator sets that the exploration answers
+    by rule 2 at ``_minimal_sets`` without a call, and successors that the
+    orbit step seeds: mapped through an automorphism of a regular top cycle,
+    keyed by a member's dominators in the top cycle, and read by the
+    exploration as memo hits. Every value is TEQ of its key, whichever path
+    stored it.
     Never share a cache across different base tournaments; a cache is
     confined to one computation at a time.
     ``hits``/``misses`` count top-level queries, not internal recursion.
@@ -70,13 +79,15 @@ class TeqCache:
         self.deadline = deadline  # time.monotonic() cutoff, None = unlimited
 
 
-def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[AltSet]:
+def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet, forward: AltSet) -> list[AltSet]:
     """Terminal SCCs (no outgoing edges) of the graph that lie in ``candidates``.
 
     Peels components forward and backward (Fleischer, Hendrickson & Pinar
-    2000). ``rest`` starts as ``candidates``; c is its lowest member. The
-    forward closure F of c (c plus everything it reaches through
-    candidates) is built by frontier closure. The backward closure B of c
+    2000). ``rest`` starts as ``candidates``; c is its lowest member. F is
+    the forward closure of c: c plus everything it reaches, expanding
+    candidates only. For the first c it is given as ``forward``, which
+    ``_lazy_successors`` has already built; for each later c it is built by
+    frontier closure at the bottom of the loop. The backward closure B of c
     inside ``rest`` (the members that reach c through ``rest``) is built by
     passes over ``rest`` until a pass adds nothing. If F lies in B, every
     vertex c reaches reaches c back, so F is c's component and, being
@@ -89,15 +100,7 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
     found = []
     rest = candidates
     while rest:
-        bit = rest & -rest
-        forward = closed = 0
-        todo = bit
-        while todo:
-            low = todo & -todo
-            forward |= low | succ[low.bit_length() - 1]
-            closed |= low
-            todo = forward & candidates & ~closed
-        back = bit
+        back = rest & -rest
         before = 0
         while back != before:
             before = back
@@ -110,11 +113,18 @@ def _terminal_scc_masks(succ: dict[int, AltSet], candidates: AltSet) -> list[Alt
         if not forward & ~back:
             found.append(forward)
         rest &= ~back
+        forward = closed = 0
+        todo = rest & -rest
+        while todo:
+            low = todo & -todo
+            forward |= low | succ[low.bit_length() - 1]
+            closed |= low
+            todo = forward & candidates & ~closed
     return found
 
 
 def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
-                  deadline: float | None) -> list[AltSet]:
+                  candidates: AltSet, deadline: float | None) -> list[AltSet]:
     """Minimal retentive sets of ``subset``, ordered by smallest member.
 
     They are the terminal SCCs of the relation graph x -> TEQ(dominators of
@@ -122,7 +132,10 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
     a member y beats v and everything v beats in ``subset``. Every edge of
     the graph points into U (lemma below). A covered member has dominators,
     so it has a successor, and no edge points to it, so it is in no terminal
-    SCC. One pass finds U. A member with no dominator is the Condorcet
+    SCC. One pass finds U. It tests only ``candidates``, the members of
+    ``subset`` that can be uncovered, each against the whole of ``subset``:
+    a caller with no bound passes ``subset``, and ``_lazy_successors`` the
+    bound of rule 1 below. A member with no dominator is the Condorcet
     winner and the one minimal set; the pass returns it at once, which
     answers every subset of one or two members. At most three uncovered
     members are the one minimal set, with no recursion. When U has at least
@@ -149,6 +162,11 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
     is in no terminal SCC, as above. (Schwartz 1990 reaches TEQ in UC
     through the Banks set.)
 
+    Rule 1: UC(D) lies in C = D & UC(S), by the lemma's proof, so C bounds
+    the candidates of D. The pass then finds UC(D) exactly, so the memo
+    stays keyed by D alone and its value is exact whichever parent first
+    reached D.
+
     Write TC for the top cycle of ``subset``: its least nonempty part that
     dominates the rest. No member outside TC beats a member of TC.
 
@@ -169,6 +187,15 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
     nonempty and excludes both. The minimal sets are disjoint and lie in U,
     and there is at least one, so if |U| <= 3 then U is the only one.
 
+    Rule 2: if C (rule 1) has at most three members, TEQ(D) is C's
+    Condorcet winner if C has one, and C otherwise. TEQ(D) lies in UC(D),
+    which lies in C, and is nonempty, since D is. If D has a Condorcet
+    winner c, then TEQ(D) = {c}, and c is in C and beats the rest of C.
+    Otherwise every minimal set of D has at least three members and lies in
+    C, so C is the only one and TEQ(D) = C. Then no x in C beats the other
+    two members: if one did, TEQ(dominators of x in D) would be nonempty
+    and lie outside C, and C would not be retentive.
+
     No member of a regular tournament is covered, since a cover would score
     higher. So if TC is regular, U = TC, and U beats every member outside
     it. Conversely, if U beats every member outside it, U is dominant, so it
@@ -184,7 +211,7 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
     which is smaller than S.
     """
     uncovered = 0
-    rest = subset
+    rest = candidates
     while rest:
         bit = rest & -rest
         rest ^= bit
@@ -213,8 +240,8 @@ def _minimal_sets(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subse
 
 
 def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
-                     uncovered: AltSet, deadline: float | None) -> tuple[dict[int, AltSet], AltSet]:
-    """Successors of the uncovered members of ``subset`` that can matter, and those members.
+                     uncovered: AltSet, deadline: float | None) -> tuple[dict[int, AltSet], AltSet, AltSet]:
+    """Successors of the uncovered members of ``subset`` that can matter, those members, and the first closure.
 
     Explores the lowest unexplored uncovered member, then every member its
     successors reach. Every successor lies in the uncovered set (lemma at
@@ -222,12 +249,22 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], su
     explored members are closed under successors. It repeats while the
     unexplored uncovered members W could still hold a minimal set: |W| >= 3
     and no member of ``subset`` beats all of W (see ``_minimal_sets``).
-    Returns the successors and the explored members, the candidates for
-    ``_terminal_scc_masks``: an explored member reaches only explored
-    members, so its status is settled.
+
+    The successor of v is TEQ of its dominators D in ``subset``, whose
+    candidates are C = D & ``uncovered`` (rule 1 at ``_minimal_sets``). If C
+    has more than three members, it recurses; otherwise rule 2 reads TEQ(D)
+    off C with no call and no deadline check, at the cost of a few bit
+    operations, and stores it under D like a recursion would, so a
+    following ``is_retentive`` recurses no more.
+
+    Returns the successors; the explored members, the candidates for
+    ``_terminal_scc_masks``, since an explored member reaches only explored
+    members, so its status is settled; and the members the first round
+    explored. Those are the forward closure of the lowest uncovered member,
+    which is also the lowest candidate, so the peel starts from them.
     """
     succ = {}
-    explored = 0
+    explored = first = 0
     unexplored = uncovered
     while True:
         todo = unexplored & -unexplored
@@ -235,11 +272,26 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], su
             bit = todo & -todo
             explored |= bit
             v = bit.bit_length() - 1
-            found = succ[v] = _teq_rec(dom_of, table, dom_of[v] & subset, deadline)
+            d = dom_of[v] & subset
+            candidates = d & uncovered
+            if candidates.bit_count() > 3:
+                found = _teq_rec(dom_of, table, d, candidates, deadline)
+            else:
+                # rule 2 at _minimal_sets: the candidates' Condorcet winner, or all of them
+                found = rest = candidates
+                while rest:
+                    low = rest & -rest
+                    if not dom_of[low.bit_length() - 1] & candidates:
+                        found = low
+                        break
+                    rest ^= low
+                table[d] = found
+            succ[v] = found
             todo = (todo | found) & ~explored
+        first = first or explored
         unexplored = uncovered & ~explored
         if unexplored.bit_count() < 3 or _beaten_by_one(dom_of, subset, unexplored):
-            return succ, explored
+            return succ, explored, first
 
 
 def _beaten_by_one(dom_of: tuple[AltSet, ...], subset: AltSet, group: AltSet) -> bool:
@@ -272,7 +324,8 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
     """
     r = (top & -top).bit_length() - 1
     rest = top ^ (1 << r)
-    succ = {r: _teq_rec(dom_of, table, dom_of[r] & top, deadline)}
+    d = dom_of[r] & top
+    succ = {r: _teq_rec(dom_of, table, d, d, deadline)}
     automorphisms = []
     for v in iter_members(rest):
         if v in succ:
@@ -292,11 +345,13 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
 
 
 def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
-             deadline: float | None) -> AltSet:
+             candidates: AltSet, deadline: float | None) -> AltSet:
     """TEQ of ``subset``, memoised in ``table``.
 
-    TEQ is the union of the minimal retentive sets. A subset with a
-    Condorcet winner, as every subset of one or two members has, is
+    TEQ is the union of the minimal retentive sets. ``candidates`` are the
+    members of ``subset`` that can be uncovered (rule 1 at
+    ``_minimal_sets``); the memo is keyed by ``subset`` alone. A subset with
+    a Condorcet winner, as every subset of one or two members has, is
     answered by the exit from ``_minimal_sets``'s coverage pass.
     """
     cached = table.get(subset)
@@ -305,7 +360,7 @@ def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: Al
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
     # the minimal sets are pairwise disjoint, so their sum is their union
-    result = table[subset] = sum(_minimal_sets(dom_of, table, subset, deadline))
+    result = table[subset] = sum(_minimal_sets(dom_of, table, subset, candidates, deadline))
     return result
 
 
@@ -324,7 +379,7 @@ def teq_of_subset(cache: TeqCache, subset: AltSet) -> AltSet:
         cache.hits += 1
         return cached
     cache.misses += 1
-    return _teq_rec(cache.base.dom_of, cache.table, subset, cache.deadline)
+    return _teq_rec(cache.base.dom_of, cache.table, subset, subset, cache.deadline)
 
 
 def teq(t: Tournament) -> AltSet:
@@ -367,7 +422,8 @@ def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list
         raise ValueError("cache belongs to a different tournament")
     if cache.deadline is not None and time.monotonic() >= cache.deadline:
         raise DeadlineExceeded
-    return _minimal_sets(t.dom_of, cache.table, full_set(t.order), cache.deadline)
+    everyone = full_set(t.order)
+    return _minimal_sets(t.dom_of, cache.table, everyone, everyone, cache.deadline)
 
 
 def bruteforce_minimal_retentive_sets(t: Tournament) -> list[AltSet]:

@@ -10,7 +10,7 @@ import pytest
 import teqtools
 from teqtools import search
 from teqtools.cli import main
-from teqtools.core import is_isomorphism, members, parse, random_tournament, restrict, serialize
+from teqtools.core import FormatError, is_isomorphism, members, parse, random_tournament, restrict, serialize
 
 from conftest import circulant, paley_tournament, relabel
 
@@ -81,7 +81,26 @@ class TestTeqCommand:
         bad.write_bytes(b"\xff\xfe")
         assert main(["teq", str(bad)]) == 3
         out, err = capsys.readouterr()
-        assert out == "" and err.startswith("teqtools: error: ") and err.count("\n") == 1
+        assert out == "" and err == (f"teqtools: error: {bad}: 'utf-8' codec can't decode byte 0xff "
+                                     "in position 0: invalid start byte\n")
+
+    def test_lone_carriage_returns_fail_as_parse_does(self, capsys, tmp_path):
+        # the file's exact text reaches parse: no newline translation
+        text = "3\r011\r001\r000\r"
+        bad = tmp_path / "cr.txt"
+        bad.write_bytes(text.encode())
+        with pytest.raises(FormatError) as raised:
+            parse(text)
+        assert main(["teq", str(bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"teqtools: error: {raised.value}\n"
+        assert "line 1: expected integer order" in err
+
+    def test_crlf_file(self, capsys, tmp_path):
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(b"3\r\n010\r\n001\r\n100\r\n")
+        assert main(["teq", str(path)]) == 0
+        assert capsys.readouterr().out == "1 2 3\n"
 
 
 class TestMinimalRetentiveCommand:

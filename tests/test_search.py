@@ -1,3 +1,5 @@
+import types
+
 import pytest
 
 import teqtools.search
@@ -129,6 +131,23 @@ class TestSearchRandom:
         report = search_random(SearchConfig(order=8, trials=10, seed=3, time_budget=0.0))
         assert report.timed_out == 10
         assert report.found == 0
+
+    def test_max_trial_seconds_is_the_slowest_trial(self, monkeypatch):
+        # a clock that moves only while a trial runs: 0.25 s each, 5 s for the second
+        now = [100.0]
+        monkeypatch.setattr(teqtools.search, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+        trials = []
+
+        def slow_second(t, cache):
+            trials.append(t)
+            now[0] += 5.0 if len(trials) == 2 else 0.25
+            return minimal_retentive_sets(t, cache)
+
+        monkeypatch.setattr(teqtools.search, "minimal_retentive_sets", slow_second)
+        report = search_random(SearchConfig(order=8, trials=3, seed=5))
+        assert len(trials) == 3
+        assert (report.max_trial_seconds, report.total_seconds) == (5.0, 5.5)
+        assert 0 < report.max_trial_seconds <= report.total_seconds
 
     def test_report_echoes_config(self):
         report = search_random(SearchConfig(order=6, trials=2, seed=42, mode="uniform"))

@@ -65,6 +65,17 @@ def reach_sets(edges, verts):
     return reach
 
 
+def first_closure(succ, candidates):
+    """The ``forward`` argument of ``_terminal_scc_masks``: the lowest candidate, everything it
+    reaches through candidates, and their successors, by plain search (0 for no candidates)."""
+    if not candidates:
+        return 0
+    low = (candidates & -candidates).bit_length() - 1
+    inside = {v: succ[v] & candidates for v in members(candidates)}
+    reach = reach_sets(inside, [low])[low]
+    return reach | altset(w for v in members(reach) for w in members(succ[v]))
+
+
 def terminal_components(edges, verts):
     """Terminal SCCs of edges over verts, ordered by smallest member, from plain reach-sets.
 
@@ -109,7 +120,7 @@ def unpruned_minimal_sets(t):
         for v in members(top):
             d = t.dom_of[v] & top
             succ[v] = teq_of(d) if d else 0
-        return _terminal_scc_masks(succ, top)
+        return _terminal_scc_masks(succ, top, first_closure(succ, top))
 
     def teq_of(subset):
         if subset not in memo:
@@ -135,10 +146,14 @@ def three_uncovered_tournament(order, seed):
 
 
 def eager_successors(dom_of, table, top, uncovered, deadline):
-    """Reference for ``_lazy_successors``: every uncovered member recurses, and all are candidates."""
-    succ = {v: teq_module._teq_rec(dom_of, table, dom_of[v] & top, deadline)
-            for v in members(uncovered)}
-    return succ, uncovered
+    """Reference for ``_lazy_successors``: every uncovered member recurses with no bound on its
+    candidates, all are candidates, and the first closure is the lowest one's reach."""
+    succ = {}
+    for v in members(uncovered):
+        d = dom_of[v] & top
+        succ[v] = teq_module._teq_rec(dom_of, table, d, d, deadline)
+    low = (uncovered & -uncovered).bit_length() - 1
+    return succ, uncovered, reach_sets(succ, [low])[low]
 
 
 def lazy_and_eager(t):
@@ -425,6 +440,40 @@ class TestUncoveredPruning:
     def test_teq_inside_uncovered_set_random(self, seed, order):
         self.check(random_tournament(order, seed))
 
+    @staticmethod
+    def check_few_candidates(t):
+        # rule 2 at _minimal_sets, for every subset S and every uncovered v of S
+        # with dominators D: if C = D & UC(S) has at most three members, TEQ(D)
+        # is C's Condorcet winner, or C if it has none. The successors
+        # _lazy_successors builds, by rule 2 or by recursion, match the oracle.
+        memo = {}
+        for s in range(1, 1 << t.order):
+            uc = uncovered(t, s)
+            for v in members(uc):
+                d = t.dom_of[v] & s
+                c = d & uc
+                if d and c.bit_count() <= 3:
+                    winners = [w for w in members(c) if not t.dom_of[w] & c]
+                    expected = 1 << winners[0] if winners else c
+                    assert teq_module._bf_teq(t.dom_of, memo, d) == expected, (t.beats, s, v)
+            if uc.bit_count() > 3:  # where _minimal_sets builds successors
+                table = {}
+                succ, _, _ = teq_module._lazy_successors(t.dom_of, table, s, uc, None)
+                assert all(found == teq_module._bf_teq(t.dom_of, memo, t.dom_of[v] & s)
+                           for v, found in succ.items()), (t.beats, s)
+                assert all(value == teq_module._bf_teq(t.dom_of, memo, key)
+                           for key, value in table.items()), (t.beats, s)
+
+    def test_few_candidates_exhaustive(self):
+        for n in range(3, 6):
+            for t in all_tournaments(n):
+                self.check_few_candidates(t)
+
+    @given(seed=seeds, order=st.integers(6, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_few_candidates_random(self, seed, order):
+        self.check_few_candidates(random_tournament(order, seed))
+
     def test_strong_four_tournament(self):
         # 0 -> 1 -> 2 -> 3 -> 0 with 0 -> 2 and 1 -> 3: 1 beats 2 and 3, which
         # is all 2 beats, so 2 is covered, and {0, 1, 3} is a 3-cycle
@@ -490,11 +539,14 @@ class TestLazyExploration:
 
     @staticmethod
     def check(t):
-        def closed(*args):
+        def closed(dom_of, table, subset, uncovered, deadline):
             # the lemma at _minimal_sets: the explored members are closed under successors
-            succ, explored = lazy(*args)
+            succ, explored, first = lazy(dom_of, table, subset, uncovered, deadline)
             assert all(found & ~explored == 0 for found in succ.values()), t.beats
-            return succ, explored
+            # and the first round explored exactly the lowest uncovered member's reach
+            low = (uncovered & -uncovered).bit_length() - 1
+            assert first == reach_sets(succ, [low])[low], t.beats
+            return succ, explored, first
 
         lazy = teq_module._lazy_successors
         with pytest.MonkeyPatch.context() as mp:
@@ -545,8 +597,9 @@ class TestLazyExploration:
     def test_explores_until_the_rest_can_hold_no_minimal_set(self, beats, explored):
         t = Tournament(beats)
         everyone = full_set(t.order)
-        succ, got = teq_module._lazy_successors(t.dom_of, {}, everyone, uncovered(t, everyone), None)
+        succ, got, first = teq_module._lazy_successors(t.dom_of, {}, everyone, uncovered(t, everyone), None)
         assert members(got) == sorted(succ) == explored
+        assert first == reach_sets(succ, explored[:1])[explored[0]]
         assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t)
 
 
@@ -831,14 +884,17 @@ class TestMinimalRetentiveSets:
 class TestTerminalSccs:
     def test_single_cycle_over_universe(self):
         succ = {0: 0b0010, 1: 0b0100, 2: 0b1000, 3: 0b0001}
-        assert _terminal_scc_masks(succ, 0b1111) == [0b1111]
+        assert _terminal_scc_masks(succ, 0b1111, 0b1111) == [0b1111]
 
     def test_sink_two_cycle(self):
         # a -> b, b <-> c, nothing leaves {b, c}
-        assert _terminal_scc_masks({0: 0b010, 1: 0b100, 2: 0b010}, 0b111) == [0b110]
+        assert _terminal_scc_masks({0: 0b010, 1: 0b100, 2: 0b010}, 0b111, 0b111) == [0b110]
 
     def test_no_edges_all_singletons(self):
-        assert _terminal_scc_masks({0: 0, 1: 0, 2: 0}, 0b111) == [0b001, 0b010, 0b100]
+        assert _terminal_scc_masks({0: 0, 1: 0, 2: 0}, 0b111, 0b001) == [0b001, 0b010, 0b100]
+
+    def test_no_candidates(self):
+        assert _terminal_scc_masks({}, 0, 0) == []
 
     def test_every_digraph_on_four_vertices(self):
         # all 2^12 arc sets on 4 vertices, each with every nonempty candidate set,
@@ -852,7 +908,8 @@ class TestTerminalSccs:
                     succ[v] |= 1 << w
             expected = terminal_components(succ, verts)
             for candidates in range(1, 16):
-                got = _terminal_scc_masks({v: succ[v] for v in members(candidates)}, candidates)
+                given = {v: succ[v] for v in members(candidates)}
+                got = _terminal_scc_masks(given, candidates, first_closure(given, candidates))
                 assert got == [c for c in expected if c & ~candidates == 0], (pattern, candidates)
 
     @given(order=st.integers(1, 16), data=st.data())
@@ -862,11 +919,12 @@ class TestTerminalSccs:
         universe = altset(verts)
         succ = {v: data.draw(st.integers(0, universe)) & universe & ~(1 << v) for v in verts}
         expected = terminal_components(succ, verts)
-        assert _terminal_scc_masks(succ, universe) == expected
+        assert _terminal_scc_masks(succ, universe, first_closure(succ, universe)) == expected
         # restricted to candidates, with no successors given for the rest: only
         # the terminal SCCs inside the candidates remain, and none reaches out
         candidates = data.draw(st.integers(0, universe)) & universe
-        restricted = _terminal_scc_masks({v: succ[v] for v in members(candidates)}, candidates)
+        given = {v: succ[v] for v in members(candidates)}
+        restricted = _terminal_scc_masks(given, candidates, first_closure(given, candidates))
         assert restricted == [c for c in expected if c & ~candidates == 0]
         reach = reach_sets(succ, verts)
         for comp in restricted:
