@@ -30,6 +30,11 @@ class SearchConfig(namedtuple("SearchConfig", "order trials seed mode time_budge
     __slots__ = ()
 
     def validate(self) -> None:
+        for name in ("order", "trials", "seed", "witness_cap"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {getattr(self, name)!r}")
+        if not (self.time_budget is None or isinstance(self.time_budget, (int, float))):
+            raise ValueError(f"time budget must be a number or None, got {self.time_budget!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {self.order}")
         if self.trials < 1:

@@ -37,10 +37,19 @@ def circulant(n, connection):
     return Tournament([altset((i + s) % n for s in connection) for i in range(n)])
 
 
+def quadratic_residues(p):
+    """The nonzero squares mod p, sorted."""
+    return tuple(sorted({x * x % p for x in range(1, p)}))
+
+
+def random_connection_set(rng, n):
+    """One of d and n - d for each d in 1..(n-1)/2: a regular circulant tournament for odd n."""
+    return tuple(d if rng.random() < 0.5 else n - d for d in range(1, (n - 1) // 2 + 1))
+
+
 def paley_tournament(p):
     """i beats j iff j - i is a nonzero square mod p; a tournament for primes p = 3 mod 4."""
-    squares = {k * k % p for k in range(1, p)}
-    return circulant(p, squares)
+    return circulant(p, quadratic_residues(p))
 
 
 def random_regular(n, seed, reversals):
@@ -51,8 +60,7 @@ def random_regular(n, seed, reversals):
     trivial automorphism group.
     """
     rng = random.Random(seed)
-    beats = list(circulant(n, [d if rng.random() < 0.5 else n - d
-                               for d in range(1, n // 2 + 1)]).beats)
+    beats = list(circulant(n, random_connection_set(rng, n)).beats)
     for _ in range(reversals):
         a = rng.randrange(n)
         b = rng.choice(members(beats[a]))

@@ -6,9 +6,9 @@ opcode counts for a fixed input set repeat exactly, so two commits can be
 compared by running this script at each:
 
     PYTHONPATH=src python tests/count_opcodes.py            # full input set
-    PYTHONPATH=src python tests/count_opcodes.py --small    # a few seconds
+    PYTHONPATH=src python tests/count_opcodes.py --small    # about a second
 
-Two groups of inputs, built from the public API with fixed seeds:
+Two groups of inputs, built with fixed seeds:
 
 * ``search``: ``search_random`` over the benchmark's seven (order, mode)
   configurations, uniform orders 13, 17, 21, 23 and structured 16, 20, 24;
@@ -16,15 +16,25 @@ Two groups of inputs, built from the public API with fixed seeds:
   tournaments, Paley 31, 43 and 59 plus seeded connection sets at odd
   orders 31 to 45.
 
+The circulant, Paley and relabelling builders come from ``tests/conftest.py``,
+so the meter needs pytest and hypothesis installed, as the tests do.
+
 Opcode events come from ``sys.settrace`` and are counted only in frames whose
 code lives in the teqtools package. Per group, the script prints the total,
 the functions that executed the most opcodes, and a digest of the results, so
 a change that alters an answer shows in the digest. ``--json`` prints the
 same per group as one JSON object (keys ``opcodes``, ``inputs``,
 ``results`` and ``top``) for scripts to read, with the interpreter version
-under ``python``. Counts vary with the Python version, so compare them
-under one interpreter; ``BENCH_opcodes.json`` at the repository root holds
-the full-set output under Python 3.11.
+under ``python``; without ``--small`` it adds the small set's groups under
+``small``. Counts vary with the Python version, so compare them under one
+interpreter. ``BENCH_opcodes.json`` at the repository root holds both sets
+under Python 3.11; this one command rewrites every number in it:
+
+    PYTHONPATH=src python tests/count_opcodes.py --json > BENCH_opcodes.json
+
+``tests/test_count_opcodes.py`` checks the small set's digests against it
+under any version. CI, under 3.11, checks that the record names that minor
+version, and every digest and total of both sets, totals within 5% of it.
 """
 
 import argparse
@@ -37,7 +47,9 @@ import sys
 from pathlib import Path
 
 import teqtools
-from teqtools import SearchConfig, Tournament, minimal_retentive_sets, search_random
+from teqtools import SearchConfig, minimal_retentive_sets, search_random
+
+from conftest import circulant, quadratic_residues, relabel
 
 PACKAGE = str(Path(teqtools.__file__).resolve().parent)
 SEARCH_CONFIGS = ((13, "uniform"), (17, "uniform"), (21, "uniform"), (23, "uniform"),
@@ -45,17 +57,6 @@ SEARCH_CONFIGS = ((13, "uniform"), (17, "uniform"), (21, "uniform"), (23, "unifo
 PALEY_ORDERS = (31, 43, 59)
 CIRCULANT_ORDERS = tuple(range(31, 46, 2))
 TOP = 12  # functions listed per group
-
-
-def circulant(n, connection, rng):
-    """Alternative i beats i + s (mod n) for s in ``connection``, under a seeded relabelling."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    beats = [0] * n
-    for i in range(n):
-        for s in connection:
-            beats[perm[i]] |= 1 << perm[(i + s) % n]
-    return Tournament(beats)
 
 
 def search_inputs(small):
@@ -66,11 +67,16 @@ def search_inputs(small):
 
 def regular_inputs(small):
     rng = random.Random(9)
-    bases = [(p, sorted({x * x % p for x in range(1, p)})) for p in PALEY_ORDERS[:1 if small else 3]]
+    bases = [(p, quadratic_residues(p)) for p in PALEY_ORDERS[:1 if small else 3]]
     for n in CIRCULANT_ORDERS[:1 if small else None]:
         for _ in range(1 if small else 4):
             bases.append((n, [k if rng.getrandbits(1) else n - k for k in range(1, n // 2 + 1)]))
-    return [circulant(n, connection, rng) for n, connection in bases]
+    tournaments = []
+    for n, connection in bases:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        tournaments.append(relabel(circulant(n, connection), perm))
+    return tournaments
 
 
 def counted(fn, inputs):
@@ -88,11 +94,12 @@ def counted(fn, inputs):
             return local
         return None
 
+    previous = sys.gettrace()
     sys.settrace(calls)
     try:
         results = [fn(x) for x in inputs]
     finally:
-        sys.settrace(None)
+        sys.settrace(previous)
     return counts, results
 
 
@@ -113,18 +120,27 @@ def print_text(name, group):
         print(f"  {row['opcodes']:>12,}  {row['function']}")
 
 
+def measure(small):
+    """The ``search`` and ``regular`` groups of the small or the full input set."""
+    return {
+        "search": summary(*counted(lambda c: search_random(c).to_dict(include_timing=False),
+                                   search_inputs(small))),
+        "regular": summary(*counted(minimal_retentive_sets, regular_inputs(small))),
+    }
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--small", action="store_true", help="a few inputs per group")
-    parser.add_argument("--json", action="store_true", help="print the groups as one JSON object")
+    parser.add_argument("--json", action="store_true",
+                        help="print the groups as one JSON object; without --small, the small set too")
     args = parser.parse_args(argv)
-    groups = {
-        "search": summary(*counted(lambda c: search_random(c).to_dict(include_timing=False),
-                                   search_inputs(args.small))),
-        "regular": summary(*counted(minimal_retentive_sets, regular_inputs(args.small))),
-    }
+    groups = measure(args.small)
     if args.json:
-        print(json.dumps({"python": platform.python_version(), **groups}, indent=2))
+        record = {"python": platform.python_version(), **groups}
+        if not args.small:
+            record["small"] = measure(small=True)
+        print(json.dumps(record, indent=2))
     else:
         for name, group in groups.items():
             print_text(name, group)

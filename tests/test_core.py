@@ -24,7 +24,16 @@ from teqtools.core import (
 )
 from teqtools.search import compose_structured
 
-from conftest import all_tournaments, circulant, cycle_tournament, flip_edge, relabel, transitive_tournament
+from conftest import (
+    all_tournaments,
+    circulant,
+    cycle_tournament,
+    flip_edge,
+    quadratic_residues,
+    random_connection_set,
+    relabel,
+    transitive_tournament,
+)
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -258,15 +267,6 @@ def multiplier_equivalent(p, s, t):
     """At prime order p, circulant(p, s) and circulant(p, t) are isomorphic iff
     some unit u maps s onto t (Turner 1967)."""
     return any({u * x % p for x in s} == set(t) for u in range(1, p))
-
-
-def random_connection_set(rng, n):
-    """One of d and n - d for each d in 1..(n-1)/2: a regular circulant tournament."""
-    return tuple(d if rng.random() < 0.5 else n - d for d in range(1, (n - 1) // 2 + 1))
-
-
-def quadratic_residues(p):
-    return tuple(sorted({x * x % p for x in range(1, p)}))
 
 
 class TestFindIsomorphism:

@@ -57,6 +57,12 @@ class TestSearchConfig:
         dict(order=8, trials=1, seed=0, time_budget=-1.0),
         dict(order=8, trials=1, seed=0, time_budget=float("nan")),
         dict(order=8, trials=1, seed=0, witness_cap=-1),
+        dict(order=13.0, trials=1, seed=0),
+        dict(order=8, trials=2.5, seed=0),
+        dict(order=8, trials=1, seed=1.5),
+        dict(order=8, trials=1, seed="7"),
+        dict(order=8, trials=1, seed=0, time_budget="1"),
+        dict(order=8, trials=1, seed=0, witness_cap=2.5),
     ])
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
