@@ -6,8 +6,6 @@ All indices in CLI input and output are 1-based (internal representation is
 ``search --witness-dir``.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -19,10 +17,6 @@ from .teq import TeqCache, is_retentive, minimal_retentive_sets, teq
 PROG = "teqtools"
 
 
-class UsageError(Exception):
-    """Bad flag value detected after argument parsing (exit 2)."""
-
-
 def _index_list_to_mask(text: str, order: int, flag: str) -> int:
     """Mask of a comma-separated 1-based list; every index parses before any is range-checked."""
     indices = []
@@ -31,14 +25,14 @@ def _index_list_to_mask(text: str, order: int, flag: str) -> int:
         try:
             v = int(piece)
         except ValueError:
-            raise UsageError(f"invalid index {piece!r}: expected a positive integer") from None
+            raise ValueError(f"invalid index {piece!r}: expected a positive integer") from None
         if v < 1:
-            raise UsageError(f"invalid index {v}: indices are 1-based")
+            raise ValueError(f"invalid index {v}: indices are 1-based")
         indices.append(v)
     mask = 0
     for v in indices:
         if v > order:
-            raise UsageError(f"{flag}: index {v} out of range for order {order}")
+            raise ValueError(f"{flag}: index {v} out of range for order {order}")
         mask |= 1 << (v - 1)
     return mask
 
@@ -117,9 +111,9 @@ def _cmd_retentive(args):
 def _cmd_dominators(args):
     t = _load(args.file)
     if args.alt < 1:
-        raise UsageError(f"--alt: index {args.alt} is 1-based")
+        raise ValueError(f"--alt: index {args.alt} is 1-based")
     if args.alt > t.order:
-        raise UsageError(f"--alt: index {args.alt} out of range for order {t.order}")
+        raise ValueError(f"--alt: index {args.alt} out of range for order {t.order}")
     if args.within is None:
         within = core.full_set(t.order)
     else:
@@ -261,7 +255,7 @@ def main(argv=None) -> int:
     except (core.FormatError, OSError) as e:  # before ValueError: FormatError is one
         print(f"{PROG}: error: {e}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as e:
+    except ValueError as e:
         print(f"{PROG}: error: {e}", file=sys.stderr)
         return 2
 

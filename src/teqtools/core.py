@@ -5,8 +5,6 @@ plain ints used as bit vectors, so all set algebra is single machine-word
 arithmetic up to the order cap of 64.
 """
 
-from __future__ import annotations
-
 import time
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -107,7 +105,7 @@ class Tournament:
         object.__setattr__(self, "dom_of", tuple(dom))
 
     @classmethod
-    def _trusted(cls, beats: Sequence[AltSet]) -> Tournament:
+    def _trusted(cls, beats: Sequence[AltSet]) -> "Tournament":
         """A tournament from rows that are valid by construction, without the pair check.
 
         Every other alternative either beats i or is beaten by it, so

@@ -9,8 +9,6 @@ bottom block of six, with cross-dominance X1 > Y2, X2 > Y1, Y1 > X1, Y2 > X2.
 Alternative indices: 0..11 are x1..x12, 12..23 are y1..y12.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .core import AltSet, Tournament, altset, find_isomorphism, is_isomorphism, iter_members, restrict

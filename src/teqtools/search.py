@@ -7,8 +7,6 @@ mode draws a random half of order n/2 and composes two copies with the same
 cross-block pattern as the embedded order-24 instance.
 """
 
-from __future__ import annotations
-
 import time
 from collections import namedtuple
 

@@ -2,44 +2,31 @@
 
 TEQ(T) is the union of all inclusion-minimal TEQ-retentive sets of T, where a
 nonempty S is TEQ-retentive if TEQ(dominators(x)) stays inside S for every
-x in S that has dominators. These sets are exactly the terminal SCCs of the
-relation graph x -> TEQ(dominators(x)), peeled off one at a time by a
-forward and a backward closure from the lowest member left. Every edge of
-that graph points into the uncovered set, by a short lemma from the
-definition (proof at ``_minimal_sets``; Schwartz 1990 reaches TEQ in the
-uncovered set through the Banks set), so a covered member is in no
-terminal SCC; the uncovered set also lies in the top cycle (the least
-nonempty part that dominates the rest), so one coverage pass over a subset
-does the top cycle's pruning too. The recursion therefore only descends
-into dominator subsets of uncovered members, memoised by subset bitmask,
-and only of those that can matter: it explores the lowest uncovered member
-and every member its successors reach, all uncovered by the lemma, and
-explores the next unexplored one only while the unexplored uncovered
-members W could still hold a minimal set, that is while |W| >= 3 and no
-member beats all of W. A retentive set is dominant (proof at
-``_minimal_sets``), so a minimal set inside W would be beaten by no
-outsider. The same lemma hands each dominator set D the parent's uncovered
-members inside it as its candidates: only they can be uncovered in D, so
-the child's coverage pass tests only them. Three cases need no recursion:
-the coverage pass returns a Condorcet winner at once, which answers every
-subset of one or two members; a subset with at most three uncovered
-members has them as its one minimal set; and a dominator set with at most
-three candidates has as TEQ their Condorcet winner, or all of them if
-there is none, answered without a call (proofs at ``_minimal_sets``). The
-first closure the exploration builds is the forward closure the peel
-starts from, so it is built once. TEQ is also neutral: an
-automorphism maps TEQ of a set onto TEQ of its image. So when the
-uncovered members form a large regular tournament that beats every other
-member, the recursion runs once for the lowest member, and the successors
-of every member found in its orbit are that one mapped through an
-automorphism (individualisation-refinement, ``core._match``). They only
-seed the memo: the exploration above runs as always and finds them there.
+x in S that has dominators. The minimal sets are the terminal SCCs of the
+relation graph x -> TEQ(dominators(x)). The recursion, memoised by subset
+bitmask, finds them for a subset in four steps; ``_minimal_sets`` proves
+each of them.
+
+1. One coverage pass finds the uncovered members, which hold every minimal
+   set. A Condorcet winner ends the pass, and at most three uncovered
+   members are the one minimal set.
+2. When the uncovered members form a large regular tournament that beats
+   every other member, the successors of the lowest member's orbit under
+   its automorphism group seed the memo (``_share_orbit``).
+3. Successors are built lazily, for uncovered members only
+   (``_lazy_successors``): from the lowest, then for every member reached,
+   and again while the unexplored uncovered members could still hold a
+   minimal set. Each dominator set takes the parent's uncovered members
+   inside it as its candidates (rule 1), and one with at most three
+   candidates is answered without a call (rule 2).
+4. The terminal SCCs are peeled by a forward and a backward closure from
+   the lowest member left (``_terminal_scc_masks``); the first forward
+   closure is the one step 3 built.
+
 ``teq_bruteforce`` is an independent oracle that transcribes the definition
 literally (subset enumeration, no SCC shortcut, no covering argument, no
 automorphisms).
 """
-
-from __future__ import annotations
 
 import time
 
@@ -59,10 +46,8 @@ class TeqCache:
     A subset of a fixed base fully determines the induced subtournament, so
     the bitmask is a sound memo key. Besides the subsets the recursion
     visits, the table holds the dominator sets that the exploration answers
-    by rule 2 at ``_minimal_sets`` without a call, and successors that the
-    orbit step seeds: mapped through an automorphism of a regular top cycle,
-    keyed by a member's dominators in the top cycle, and read by the
-    exploration as memo hits. Every value is TEQ of its key, whichever path
+    by rule 2 at ``_minimal_sets`` without a call, and the successors that
+    ``_share_orbit`` seeds. Every value is TEQ of its key, whichever path
     stored it.
     Never share a cache across different base tournaments; a cache is
     confined to one computation at a time.
@@ -244,24 +229,21 @@ def _lazy_successors(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], su
     """Successors of the uncovered members of ``subset`` that can matter, those members, and the first closure.
 
     Explores the lowest unexplored uncovered member, then every member its
-    successors reach. Every successor lies in the uncovered set (lemma at
-    ``_minimal_sets``), so covered members are never expanded and the
-    explored members are closed under successors. It repeats while the
-    unexplored uncovered members W could still hold a minimal set: |W| >= 3
-    and no member of ``subset`` beats all of W (see ``_minimal_sets``).
-
-    The successor of v is TEQ of its dominators D in ``subset``, whose
-    candidates are C = D & ``uncovered`` (rule 1 at ``_minimal_sets``). If C
+    successors reach, and repeats while the unexplored uncovered members W
+    could still hold a minimal set: |W| >= 3 and no member of ``subset``
+    beats all of W. The successor of v is TEQ of its dominators D in
+    ``subset``, whose candidates are C = D & ``uncovered`` (rule 1). If C
     has more than three members, it recurses; otherwise rule 2 reads TEQ(D)
-    off C with no call and no deadline check, at the cost of a few bit
-    operations, and stores it under D like a recursion would, so a
-    following ``is_retentive`` recurses no more.
+    off C with no call and no deadline check, and stores it under D like a
+    recursion would, so a following ``is_retentive`` recurses no more.
+    ``_minimal_sets`` proves both rules, that every successor is uncovered,
+    and the stopping test.
 
-    Returns the successors; the explored members, the candidates for
-    ``_terminal_scc_masks``, since an explored member reaches only explored
-    members, so its status is settled; and the members the first round
-    explored. Those are the forward closure of the lowest uncovered member,
-    which is also the lowest candidate, so the peel starts from them.
+    Returns the successors; the explored members, which are closed under
+    successors and so are the candidates for ``_terminal_scc_masks``; and
+    the members the first round explored: the forward closure of the lowest
+    uncovered member, which is the lowest candidate, so the peel starts
+    from them.
     """
     succ = {}
     explored = first = 0
@@ -346,13 +328,11 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
 
 def _teq_rec(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], subset: AltSet,
              candidates: AltSet, deadline: float | None) -> AltSet:
-    """TEQ of ``subset``, memoised in ``table``.
+    """TEQ of ``subset``, memoised in ``table`` under ``subset`` alone.
 
     TEQ is the union of the minimal retentive sets. ``candidates`` are the
     members of ``subset`` that can be uncovered (rule 1 at
-    ``_minimal_sets``); the memo is keyed by ``subset`` alone. A subset with
-    a Condorcet winner, as every subset of one or two members has, is
-    answered by the exit from ``_minimal_sets``'s coverage pass.
+    ``_minimal_sets``).
     """
     cached = table.get(subset)
     if cached is not None:
@@ -408,13 +388,9 @@ def is_retentive(cache: TeqCache, x_set: AltSet) -> bool:
 def minimal_retentive_sets(t: Tournament, cache: TeqCache | None = None) -> list[AltSet]:
     """All inclusion-minimal TEQ-retentive sets of t, ordered by smallest member.
 
-    These are the terminal SCCs of the relation graph on t; they are
-    pairwise disjoint and their union is teq(t). A Condorcet winner ends
-    the coverage pass at once. Otherwise successors are built only for
-    uncovered members, since every successor lies in the uncovered set
-    (lemma at ``_minimal_sets``), and a large regular uncovered set that
-    beats every other member shares them across automorphism orbits. A
-    given ``cache`` must have base t.
+    They are pairwise disjoint and their union is teq(t). ``_minimal_sets``
+    finds them, and its docstring proves each step. A given ``cache`` must
+    have base t.
     """
     if cache is None:
         cache = TeqCache(t)

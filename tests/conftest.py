@@ -20,11 +20,7 @@ settings.load_profile("teqtools")
 def cycle_tournament(n):
     """i beats i+1..i+(n-1)//2 (mod n); the rotational regular tournament, odd n only."""
     assert n % 2 == 1
-    beats = [0] * n
-    for i in range(n):
-        for k in range(1, (n - 1) // 2 + 1):
-            beats[i] |= 1 << ((i + k) % n)
-    return Tournament(beats)
+    return circulant(n, range(1, (n + 1) // 2))
 
 
 def transitive_tournament(n):

@@ -12,7 +12,7 @@ from teqtools import search
 from teqtools.cli import main
 from teqtools.core import FormatError, is_isomorphism, members, parse, random_tournament, restrict, serialize
 
-from conftest import circulant, paley_tournament, relabel
+from conftest import circulant, paley_tournament, random_connection_set, relabel
 
 THREE_CYCLE = "3\n010\n001\n100\n"
 TRANSITIVE_3 = "3\n011\n001\n000\n"
@@ -227,7 +227,7 @@ class TestIsomorphicCommand:
 
     def test_order_63_relabelled_copies(self, capsys, tmp_path):
         rng = random.Random(6363)
-        connection = tuple(d if rng.random() < 0.5 else 63 - d for d in range(1, 32))
+        connection = random_connection_set(rng, 63)
         fa, fb = tmp_path / "a.txt", tmp_path / "b.txt"
         fa.write_text(serialize(relabel(circulant(63, connection), rng.sample(range(63), 63))))
         fb.write_text(serialize(relabel(circulant(63, connection), rng.sample(range(63), 63))))
@@ -348,8 +348,9 @@ class TestUsageErrors:
 class TestStartup:
     def test_import_skips_heavy_stdlib_modules(self):
         # -S keeps site from preloading typing and importlib.resources, which
-        # would hide a package import of either
-        heavy = ("dataclasses", "inspect", "typing", "importlib.resources")
+        # would hide a package import of either; the CLI imports every package
+        # module, and on Python >= 3.10 none needs __future__ for its annotations
+        heavy = ("__future__", "dataclasses", "inspect", "typing", "importlib.resources")
         env = dict(os.environ, PYTHONPATH=str(Path(teqtools.__file__).parents[1]))
         code = f"import sys, teqtools.cli; print([m for m in {heavy!r} if m in sys.modules])"
         proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,

@@ -38,10 +38,6 @@ from conftest import (
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
 
 
-def random_t(order, seed):
-    return random_tournament(order, seed)
-
-
 class TestNewTournament:
     """Building a Tournament from its rows of beaten alternatives."""
 
@@ -116,7 +112,7 @@ class TestDominators:
 
     @given(seed=seeds, order=st.integers(2, 16))
     def test_definition_and_total_count(self, seed, order):
-        t = random_t(order, seed)
+        t = random_tournament(order, seed)
         univ = full_set(order)
         total = 0
         for x in range(order):
@@ -158,7 +154,7 @@ class TestRestrict:
 
     @given(seed=seeds, order=st.integers(2, 12), subset_bits=st.integers(min_value=1))
     def test_preserves_dominance(self, seed, order, subset_bits):
-        t = random_t(order, seed)
+        t = random_tournament(order, seed)
         subset = subset_bits % (1 << order)
         if subset == 0:
             subset = 1
@@ -291,21 +287,15 @@ class TestFindIsomorphism:
         assert is_isomorphism(t, t, mapping) is False
 
     def test_relabeled_tournament_found(self):
-        t = random_t(8, 99)
-        perm = [3, 7, 0, 5, 1, 6, 2, 4]
-        beats = [0] * 8
-        for i in range(8):
-            for j in range(8):
-                if i != j and t.dominates(i, j):
-                    beats[perm[i]] |= 1 << perm[j]
-        relabeled = Tournament(beats)
+        t = random_tournament(8, 99)
+        relabeled = relabel(t, [3, 7, 0, 5, 1, 6, 2, 4])
         witness = find_isomorphism(t, relabeled)
         assert witness is not None
         assert is_isomorphism(t, relabeled, witness)
 
     def test_relabelled_order_64_found(self):
         # masks wider than 32 bits, at the order cap
-        t = random_t(64, 2013)
+        t = random_tournament(64, 2013)
         relabelled = relabel(t, random.Random(64).sample(range(64), 64))
         witness = find_isomorphism(t, relabelled)
         assert witness is not None
@@ -314,8 +304,8 @@ class TestFindIsomorphism:
     @given(seed_a=seeds, seed_b=seeds, order=st.integers(1, 6))
     @settings(max_examples=60)
     def test_agrees_with_permutation_scan(self, seed_a, seed_b, order):
-        a = random_t(order, seed_a)
-        b = random_t(order, seed_b)
+        a = random_tournament(order, seed_a)
+        b = random_tournament(order, seed_b)
         got = find_isomorphism(a, b)
         expected = brute_force_isomorphism(a, b)
         assert (got is None) == (expected is None)
@@ -324,8 +314,8 @@ class TestFindIsomorphism:
 
     def test_order_seven_sample_against_scan(self):
         for seed_a, seed_b in [(1, 2), (3, 3), (8, 15)]:
-            a = random_t(7, seed_a)
-            b = random_t(7, seed_b)
+            a = random_tournament(7, seed_a)
+            b = random_tournament(7, seed_b)
             got = find_isomorphism(a, b)
             expected = brute_force_isomorphism(a, b)
             assert (got is None) == (expected is None)
@@ -343,9 +333,9 @@ class TestFindIsomorphism:
     def test_agrees_with_score_class_backtracker(self, order, seed_a, seed_b, kind, data):
         # A reversed 3-cycle keeps the score sequence, so only refinement
         # past the first round can tell such a pair apart.
-        a = random_t(order, seed_a)
+        a = random_tournament(order, seed_a)
         if kind == "independent":
-            b = random_t(order, seed_b)
+            b = random_tournament(order, seed_b)
         else:
             perm = data.draw(st.permutations(range(order)))
             b = relabel(a if kind == "relabelled" else reverse_a_three_cycle(a), perm)
@@ -442,7 +432,7 @@ class TestRefine:
             rng = random.Random(seed)
             a = circulant(order, random_connection_set(rng, order))
         else:
-            a = random_t(order, seed)
+            a = random_tournament(order, seed)
         perm = data.draw(st.permutations(range(order)))
         b = relabel(a, perm)
         picked = data.draw(st.lists(st.integers(0, order - 1), max_size=2, unique=True))
@@ -478,7 +468,7 @@ class TestPreserves:
         # b is a relabelling of a; the mapping is the relabelling on the union,
         # or that with the images of two union members swapped
         rng = random.Random(draw)
-        a = random_t(order, seed)
+        a = random_tournament(order, seed)
         perm = rng.sample(range(order), order)
         b = relabel(a, perm)
         union = full_set(order) if whole else rng.getrandbits(order) | 1 << rng.randrange(order)
@@ -645,7 +635,7 @@ class TestParseSerialize:
 
     @given(seed=seeds, order=st.integers(1, 20))
     def test_round_trip(self, seed, order):
-        t = random_t(order, seed)
+        t = random_tournament(order, seed)
         assert parse(serialize(t)) == t
 
 

@@ -43,6 +43,7 @@ from conftest import (
     cycle_tournament,
     flip_edge,
     paley_tournament,
+    random_connection_set,
     random_regular,
     relabel,
     transitive_tournament,
@@ -307,12 +308,7 @@ class TestTeq:
     def test_isomorphism_invariance(self, seed, order, data):
         t = random_tournament(order, seed)
         perm = data.draw(st.permutations(range(order)))
-        beats = [0] * order
-        for i in range(order):
-            for j in range(order):
-                if i != j and t.dominates(i, j):
-                    beats[perm[i]] |= 1 << perm[j]
-        relabeled = Tournament(beats)
+        relabeled = relabel(t, perm)
         expected = altset(perm[v] for v in members(teq(t)))
         assert teq(relabeled) == expected
 
@@ -492,8 +488,7 @@ class TestUncoveredPruning:
         # whose successors are shared across automorphism orbits
         rng = random.Random(21)
         for n in range(21, 36, 2):
-            connection = [d if rng.random() < 0.5 else n - d for d in range(1, n // 2 + 1)]
-            cases.append(relabel(circulant(n, connection), rng.sample(range(n), n)))
+            cases.append(relabel(circulant(n, random_connection_set(rng, n)), rng.sample(range(n), n)))
         for t in cases:
             assert minimal_retentive_sets(t) == unpruned_minimal_sets(t), t.beats
 
