@@ -7,6 +7,8 @@ arithmetic up to the order cap of 64.
 
 import time
 from collections.abc import Iterable, Iterator, Sequence
+from functools import lru_cache
+from operator import itemgetter
 
 MAX_ORDER = 64
 
@@ -16,6 +18,7 @@ _M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_FLIP = bytes.maketrans(b"01", b"10")
 
 
 def altset(indices: Iterable[int]) -> AltSet:
@@ -375,19 +378,46 @@ def random_tournament(order: int, seed: int) -> Tournament:
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
-    beats = [0] * order
-    # derive_seed inlined: counter runs through key + (k + 1) * _GOLDEN mod
-    # 2**64, and the last xor-shift of _mix64 leaves the top bit as it is
-    counter = _mix64(seed)
-    for i in range(order):
-        for j in range(i + 1, order):
-            counter = (counter + _GOLDEN) & _M64
-            z = ((counter ^ (counter >> 30)) * _MIX1) & _M64
-            if ((z ^ (z >> 27)) * _MIX2) >> 63 & 1:
-                beats[i] |= 1 << j
-            else:
-                beats[j] |= 1 << i
-    return Tournament._trusted(beats)
+    # derive_seed for every pair at once: lane k (bits 128k..128k+127) of z
+    # holds pair k's counter _mix64(seed) + (k + 1) * _GOLDEN mod 2**64, and
+    # each splitmix64 step runs on the whole integer. A lane's value stays
+    # below 2**64 between steps, so a shift right brings the lane above's low
+    # bits only into bits 64..127, which the mask clears before the product;
+    # a 64 x 64-bit product fills at most the 128 bits of its own lane, so no
+    # lane carries into the next. The last xor-shift of _mix64 leaves the top
+    # bit as it is, so bit 63 of each lane after the second product is the
+    # pair's draw; it is moved to the foot of the lane and made an ASCII
+    # digit, and byte 0 of every lane is then that digit.
+    ones, mask, ramp, zeros, cells = _lanes(order)
+    z = (_mix64(seed) * ones + ramp) & mask
+    z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+    z = ((z ^ z >> 27) & mask) * _MIX2 >> 63 & ones | zeros
+    bits = z.to_bytes(order * (order - 1) << 3, "little")[::16]  # 16 bytes a pair
+    matrix = bytes(cells(bits + bits.translate(_FLIP) + b"0"))
+    return Tournament._trusted([int(matrix[i:i + order], 2) for i in range(0, order * order, order)])
+
+
+@lru_cache(maxsize=None)
+def _lanes(order: int) -> tuple[int, int, int, int, itemgetter]:
+    """The per-order constants of ``random_tournament``, built on its first call at each order.
+
+    Lane ones, the 64-bit lane mask, the counter ramp (k + 1) * _GOLDEN in
+    lane k, ASCII "0" in every lane, and the getter that lays out ``bits +
+    flipped bits + b"0"`` as the matrix rows, column order - 1 first, so
+    that ``int(row, 2)`` has bit j set iff i dominates j. Row i reads pair
+    (i, j)'s digit for j > i, the flipped digit of pair (j, i) for j < i,
+    and "0" on the diagonal.
+    """
+    pairs = order * (order - 1) // 2
+    ones = int.from_bytes(b"\1".ljust(16, b"\0") * pairs, "little")
+    # (k + 1) * _GOLDEN < 2**75 fits its lane, and the kernel's mask reduces
+    # the counter mod 2**64 as derive_seed does
+    ramp = int.from_bytes(b"".join([k.to_bytes(16, "little") for k in range(1, pairs + 1)]), "little") * _GOLDEN
+    first = [i * (2 * order - i - 3) // 2 - 1 for i in range(order)]  # pair (i, j), i < j, is first[i] + j
+    # the trailing "0" keeps the getter's result a tuple at order 1
+    cells = itemgetter(*[first[i] + j if i < j else pairs + first[j] + i if j < i else 2 * pairs
+                         for i in range(order) for j in reversed(range(order))], 2 * pairs)
+    return ones, ones * _M64, ramp, ones * ord("0"), cells
 
 
 def parse(text: str) -> Tournament:

@@ -28,10 +28,13 @@ class SearchConfig(namedtuple("SearchConfig", "order trials seed mode time_budge
     __slots__ = ()
 
     def validate(self) -> None:
+        # bool subclasses int, but True is no order and False no seed
         for name in ("order", "trials", "seed", "witness_cap"):
-            if not isinstance(getattr(self, name), int):
-                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {getattr(self, name)!r}")
-        if not (self.time_budget is None or isinstance(self.time_budget, (int, float))):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name.replace('_', ' ')} must be an integer, got {value!r}")
+        if isinstance(self.time_budget, bool) or not (self.time_budget is None
+                                                      or isinstance(self.time_budget, (int, float))):
             raise ValueError(f"time budget must be a number or None, got {self.time_budget!r}")
         if not 1 <= self.order <= MAX_ORDER:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {self.order}")

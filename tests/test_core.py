@@ -6,8 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from teqtools.core import (
+    MAX_ORDER,
     FormatError,
     Tournament,
+    _lanes,
     _preserves,
     _refine,
     altset,
@@ -488,6 +490,17 @@ class TestPreserves:
             assert got
 
 
+def documented_beats(order, seed):
+    """The rows of random_tournament(order, seed) by its definition, one derive_seed per pair."""
+    beats = [0] * order
+    for k, (i, j) in enumerate(itertools.combinations(range(order), 2)):
+        if derive_seed(seed, k) >> 63:
+            beats[i] |= 1 << j
+        else:
+            beats[j] |= 1 << i
+    return tuple(beats)
+
+
 class TestRandomTournament:
     def test_deterministic(self):
         assert random_tournament(5, 42) == random_tournament(5, 42)
@@ -517,15 +530,22 @@ class TestRandomTournament:
 
     @pytest.mark.parametrize("seed", [0, 1, 2013, 2**63 + 5, 2**64 - 1, -2013])
     def test_matches_documented_definition(self, seed):
-        for order in [*range(1, 25), 31, 32, 33, 63, 64]:
-            pairs = itertools.combinations(range(order), 2)
-            beats = [0] * order
-            for k, (i, j) in enumerate(pairs):
-                if derive_seed(seed, k) >> 63:
-                    beats[i] |= 1 << j
-                else:
-                    beats[j] |= 1 << i
-            assert random_tournament(order, seed).beats == tuple(beats)
+        for order in range(1, MAX_ORDER + 1):
+            assert random_tournament(order, seed).beats == documented_beats(order, seed)
+
+    @given(st.integers(1, MAX_ORDER), st.integers(-2**70, 2**70))
+    @example(1, -2**70)
+    @example(MAX_ORDER, 2**70)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_documented_definition_at_any_seed(self, order, seed):
+        assert random_tournament(order, seed).beats == documented_beats(order, seed)
+
+    def test_orders_called_alternately(self):
+        # each order's lane plan is built on first use and reused; a plan
+        # that kept state from the order before would break this sequence
+        _lanes.cache_clear()
+        for order, seed in [(13, 5), (64, 5), (1, 5), (13, 6), (2, 5), (64, -7), (2, 8)]:
+            assert random_tournament(order, seed).beats == documented_beats(order, seed)
 
     def test_pinned_order_eight(self):
         expected = "8\n00100001\n10111010\n00011101\n10001100\n10000110\n11000010\n10110000\n01011110\n"
