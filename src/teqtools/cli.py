@@ -23,8 +23,11 @@ def _index_list_to_mask(text: str, order: int, flag: str) -> int:
     for piece in text.split(","):
         piece = piece.strip()
         try:
+            # int() alone would also take "+3", "1_3" and the digits of other scripts
+            if not (piece.isascii() and piece.removeprefix("-").isdigit()):
+                raise ValueError(piece)
             v = int(piece)
-        except ValueError:
+        except ValueError:  # also raised by int() for an index of thousands of digits
             raise ValueError(f"invalid index {piece!r}: expected a positive integer") from None
         if v < 1:
             raise ValueError(f"invalid index {v}: indices are 1-based")

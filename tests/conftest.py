@@ -79,10 +79,6 @@ def relabel(t, perm):
 
 def flip_edge(t, a, b):
     """Copy of t with the orientation of pair {a, b} reversed."""
-    if a == b:
-        raise ValueError("cannot flip a reflexive pair")
-    if not (0 <= a < t.order and 0 <= b < t.order):
-        raise IndexError(f"pair ({a},{b}) out of range for order {t.order}")
     beats = list(t.beats)
     winner, loser = (a, b) if t.dominates(a, b) else (b, a)
     beats[winner] ^= 1 << loser

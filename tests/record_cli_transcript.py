@@ -9,6 +9,12 @@ Every case runs through ``cli.main`` in a fresh directory holding the files
 below and the bundled order-24 instance as ``counterexample24.txt``, so paths
 in the output are relative. The JSON keeps the files, and for each command its
 argv, exit code, stdout and stderr.
+
+To add a case, append its argv to ``CASES`` (a new input file goes in
+``MALFORMED`` or ``input_files``) and re-run the command above. The replay test
+fails until the transcript is re-recorded. Check that the re-recorded file
+differs from the old one only in the appended case and in the ``search``
+timings, which change on every run and which the replay masks.
 """
 
 import contextlib
@@ -71,6 +77,9 @@ CASES = [
     ["retentive", CE, "--set", "a"],
     ["gen", "--order", "-1", "--seed", "1"],
     [*SEARCH, "--time-budget", "-1"],
+    ["retentive", CE, "--set", "1_3"],
+    ["retentive", CE, "--set", "+3"],
+    ["dominators", CE, "--alt", "1", "--within", "1,\u0663"],  # an Arabic-Indic 3
 ]
 
 

@@ -32,49 +32,10 @@ def cycle_file(tmp_path):
     return str(path)
 
 
-class TestVerifyCounterexample:
-    def test_all_pass_exit_zero(self, capsys):
-        assert main(["verify-counterexample"]) == 0
-        out = capsys.readouterr().out
-        assert "FAIL" not in out
-        assert "all claims pass" in out
-
-    def test_json(self, capsys):
-        assert main(["verify-counterexample", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["all_passed"] is True
-        assert len(payload["claims"]) == 19
-        assert payload["claims"][0]["id"] == "teq-dom-x1"
-        assert payload["notes"]
-
-    def test_quiet_suppresses_passing_claims(self, capsys):
-        assert main(["verify-counterexample", "--quiet"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS  teq-dom" not in out
-        assert "all claims pass" in out
-
-
 class TestTeqCommand:
     def test_three_cycle(self, capsys, cycle_file):
         assert main(["teq", cycle_file]) == 0
         assert capsys.readouterr().out.strip() == "1 2 3"
-
-    def test_json_matches_text(self, capsys, cycle_file):
-        main(["teq", cycle_file])
-        text_out = capsys.readouterr().out.split()
-        main(["teq", cycle_file, "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert [str(v) for v in payload["teq"]] == text_out
-
-    def test_missing_file(self, capsys, tmp_path):
-        assert main(["teq", str(tmp_path / "nope.txt")]) == 3
-        assert "error" in capsys.readouterr().err
-
-    def test_malformed_file(self, capsys, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("2\n00\n00\n")
-        assert main(["teq", str(bad)]) == 3
-        assert "completeness violated" in capsys.readouterr().err
 
     def test_undecodable_file_is_malformed_input(self, capsys, tmp_path):
         bad = tmp_path / "bin.txt"
@@ -104,15 +65,6 @@ class TestTeqCommand:
 
 
 class TestMinimalRetentiveCommand:
-    def test_counterexample_two_lines(self, capsys, cx_file):
-        assert main(["minimal-retentive", cx_file]) == 0
-        lines = capsys.readouterr().out.strip().splitlines()
-        assert lines == [
-            " ".join(str(v) for v in range(1, 13)),
-            " ".join(str(v) for v in range(13, 25)),
-        ]
-
-
     def test_paley_59_json(self, capsys, tmp_path):
         # a regular order-59 tournament, the largest Paley order under the cap
         path = tmp_path / "paley59.txt"
@@ -133,14 +85,6 @@ class TestRetentiveCommand:
         assert main(["retentive", cx_file, "--set", "1"]) == 1
         assert capsys.readouterr().out.strip() == "not retentive"
 
-    def test_quiet_keeps_exit_code_only(self, capsys, cx_file):
-        assert main(["retentive", cx_file, "--set", "1", "--quiet"]) == 1
-        assert capsys.readouterr().out == ""
-
-    def test_zero_index_is_usage_error(self, capsys, cx_file):
-        assert main(["retentive", cx_file, "--set", "0,1"]) == 2
-        assert "1-based" in capsys.readouterr().err
-
     def test_garbage_index_is_usage_error(self, cx_file):
         assert main(["retentive", cx_file, "--set", "1,abc"]) == 2
 
@@ -150,16 +94,6 @@ class TestRetentiveCommand:
 
 
 class TestDominatorsCommand:
-    def test_full_universe(self, capsys, cx_file):
-        assert main(["dominators", cx_file, "--alt", "1"]) == 0
-        got = capsys.readouterr().out.split()
-        assert got == ["4", "5", "6", "8", "9", "12", "13", "14", "15", "16", "17", "18"]
-
-    def test_within(self, capsys, cx_file):
-        x_indices = ",".join(str(v) for v in range(1, 13))
-        assert main(["dominators", cx_file, "--alt", "1", "--within", x_indices]) == 0
-        assert capsys.readouterr().out.split() == ["4", "5", "6", "8", "9", "12"]
-
     def test_alt_out_of_range(self, capsys, cx_file):
         assert main(["dominators", cx_file, "--alt", "25"]) == 2
 
@@ -251,38 +185,15 @@ class TestGenCommand:
         payload = json.loads(capsys.readouterr().out)
         assert parse(payload["tournament"]) == random_tournament(4, 1)
 
-    def test_bad_order(self, capsys):
-        assert main(["gen", "--order", "0", "--seed", "1"]) == 2
-
 
 class TestSearchCommand:
-    def test_json_report(self, capsys):
-        assert main(["search", "--order", "6", "--trials", "10", "--seed", "3", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["trials"] == 10
-        assert payload["found"] == 0
-        assert payload["witnesses"] == []
-        assert payload["mode"] == "uniform"
-        assert "total_seconds" in payload
-
-    def test_json_key_order(self, capsys):
-        assert main(["search", "--order", "6", "--trials", "2", "--seed", "3", "--json"]) == 0
-        assert list(json.loads(capsys.readouterr().out)) == [
-            "order", "trials", "seed", "mode", "found", "timed_out", "witnesses",
-            "total_seconds", "max_trial_seconds", "command", "witness_files"]
-
-    def test_text_report(self, capsys):
-        assert main(["search", "--order", "6", "--trials", "5", "--seed", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "found 0 tournaments" in out
-
     def test_structured_needs_multiple_of_four(self, capsys):
         assert main(["search", "--order", "10", "--trials", "1", "--seed", "0",
                      "--mode", "structured"]) == 2
         assert capsys.readouterr().err == \
             "teqtools: error: structured mode needs order divisible by 4, got 10\n"
 
-    @pytest.mark.parametrize("budget", ["nan", "-1"])
+    @pytest.mark.parametrize("budget", ["nan"])
     def test_invalid_time_budget(self, capsys, budget):
         assert main(["search", "--order", "13", "--trials", "3", "--seed", "1",
                      "--time-budget", budget]) == 2

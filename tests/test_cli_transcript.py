@@ -19,6 +19,8 @@ import pytest
 
 from teqtools.cli import main
 
+import record_cli_transcript
+
 TRANSCRIPT = json.loads((Path(__file__).parent / "data" / "cli_transcript.json").read_text())
 TIMING = re.compile(r"(total time: |_seconds\": )[^ ,\n]+(  \(max trial [^)]*\))?")
 
@@ -42,3 +44,9 @@ def test_replay(case, workdir, capsys):
     out, err = capsys.readouterr()
     expected = mask_timing(case["argv"], case["stdout"])
     assert (code, mask_timing(case["argv"], out), err) == (case["exit"], expected, case["stderr"])
+
+
+def test_transcript_is_recorded_from_the_current_cases(golden_text):
+    # an edit to the recorder's cases or input files fails here until it is re-run
+    assert [case["argv"] for case in TRANSCRIPT["cases"]] == record_cli_transcript.CASES
+    assert TRANSCRIPT["files"] == record_cli_transcript.input_files(golden_text)

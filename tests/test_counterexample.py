@@ -3,6 +3,7 @@ import pytest
 import hashlib
 import itertools
 import json
+import time
 from collections import Counter
 
 from teqtools import counterexample
@@ -16,7 +17,7 @@ from teqtools.counterexample import (
     label_set,
     verify_claims,
 )
-from teqtools.teq import TeqCache, minimal_retentive_sets, teq_of_subset
+from teqtools.teq import minimal_retentive_sets
 
 from conftest import flip_edge
 
@@ -24,10 +25,6 @@ from conftest import flip_edge
 # the top and bottom blocks of six in each half
 X1, X2 = altset(range(0, 6)), altset(range(6, 12))
 Y1, Y2 = X1 << 12, X2 << 12
-
-
-def mutated(inst, a, b):
-    return inst._replace(tournament=flip_edge(inst.tournament, a, b))
 
 
 class TestBuild:
@@ -88,7 +85,9 @@ class TestBuild:
 
 class TestVerifyClaims:
     def test_all_claims_pass(self, instance):
+        started = time.monotonic()
         report = verify_claims(instance)
+        assert time.monotonic() - started < 10.0
         assert report.all_passed
         assert [c.claim_id for c in report.claims if not c.passed] == []
 
@@ -114,20 +113,6 @@ class TestVerifyClaims:
         # round-trip the tournament through text; claims must still pass
         rebuilt = instance._replace(tournament=parse(serialize(instance.tournament)))
         assert verify_claims(rebuilt).all_passed
-
-    @pytest.mark.parametrize("pair", [(0, 12), (0, 18), (6, 12), (11, 23), (5, 19)])
-    def test_cross_edge_flip_detected(self, instance, pair):
-        report = verify_claims(mutated(instance, *pair))
-        assert not report.all_passed
-
-    def test_within_half_flip_detected(self, instance):
-        # breaking the X half's internal structure must fail the table claims
-        report = verify_claims(mutated(instance, 0, 3))
-        assert not report.all_passed
-
-    def test_teq_x1_value(self, big_t):
-        cache = TeqCache(big_t)
-        assert teq_of_subset(cache, big_t.dom_of[0]) == altset([3, 7, 11])
 
 
 # sha256 of the JSON of every claim (id, description, verdict, details) in the

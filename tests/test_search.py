@@ -89,8 +89,11 @@ class TestSearchRandom:
         b = search_random(config)
         assert a.to_dict(include_timing=False) == b.to_dict(include_timing=False)
 
-    def test_no_findings_at_small_order(self):
-        report = search_random(SearchConfig(order=8, trials=300, seed=7))
+    # 10,000 draws at each order 8..12: none has two minimal retentive sets
+    @pytest.mark.parametrize("order, trials, seed",
+                             [(8, 300, 7)] + [(o, 10_000, 6000 + o) for o in range(8, 13)])
+    def test_no_findings_at_small_order(self, order, trials, seed):
+        report = search_random(SearchConfig(order=order, trials=trials, seed=seed))
         assert report.found == 0
         assert report.witnesses == []
         assert report.timed_out == 0

@@ -1,5 +1,7 @@
+import functools
 import importlib
 import itertools
+import operator
 import random
 import time
 import types
@@ -262,21 +264,27 @@ class TestBruteforceOracle:
 
 
 class TestTeqAgainstOracle:
+    # teq(t) is compared with the union of the oracle's sets, which is teq_bruteforce(t)
     def test_exhaustive_small_orders(self):
-        for n in range(1, 6):
+        for n in range(1, 7):
             for t in all_tournaments(n):
-                assert teq(t) == teq_bruteforce(t), t.beats
+                bf_sets = bruteforce_minimal_retentive_sets(t)
+                assert minimal_retentive_sets(t) == bf_sets, t.beats
+                assert teq(t) == functools.reduce(operator.or_, bf_sets), t.beats
+
+    @pytest.mark.parametrize("order", [7, 8, 9, 10])
+    def test_seeded_mid_orders(self, order):
+        for trial in range(1000):
+            t = random_tournament(order, derive_seed(5000 + order, trial))
+            bf_sets = bruteforce_minimal_retentive_sets(t)
+            assert minimal_retentive_sets(t) == bf_sets, trial
+            assert teq(t) == functools.reduce(operator.or_, bf_sets), trial
 
     @given(seed=seeds, order=st.integers(6, 10))
     @settings(max_examples=150, deadline=None)
     def test_random_mid_orders(self, seed, order):
         t = random_tournament(order, seed)
         assert teq(t) == teq_bruteforce(t)
-
-    def test_minimal_sets_match_oracle_exhaustive(self):
-        for n in range(1, 6):
-            for t in all_tournaments(n):
-                assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t)
 
 
 class TestTeq:
