@@ -23,11 +23,8 @@ def _index_list_to_mask(text: str, order: int, flag: str) -> int:
     for piece in text.split(","):
         piece = piece.strip()
         try:
-            # int() alone would also take "+3", "1_3" and the digits of other scripts
-            if not (piece.isascii() and piece.removeprefix("-").isdigit()):
-                raise ValueError(piece)
-            v = int(piece)
-        except ValueError:  # also raised by int() for an index of thousands of digits
+            v = core._decimal(piece)
+        except ValueError:
             raise ValueError(f"invalid index {piece!r}: expected a positive integer") from None
         if v < 1:
             raise ValueError(f"invalid index {v}: indices are 1-based")
@@ -38,6 +35,14 @@ def _index_list_to_mask(text: str, order: int, flag: str) -> int:
             raise ValueError(f"{flag}: index {v} out of range for order {order}")
         mask |= 1 << (v - 1)
     return mask
+
+
+def _integer(text: str, flag: str) -> int:
+    """The value of an integer option, by the rule of the file header and the index lists."""
+    try:
+        return core._decimal(text)
+    except ValueError:
+        raise ValueError(f"{flag}: expected an integer, got {text!r}") from None
 
 
 def _mask_to_indices(mask: int) -> list[int]:
@@ -112,18 +117,19 @@ def _cmd_retentive(args):
 
 
 def _cmd_dominators(args):
+    alt = _integer(args.alt, "--alt")
     t = _load(args.file)
-    if args.alt < 1:
-        raise ValueError(f"--alt: index {args.alt} is 1-based")
-    if args.alt > t.order:
-        raise ValueError(f"--alt: index {args.alt} out of range for order {t.order}")
+    if alt < 1:
+        raise ValueError(f"--alt: index {alt} is 1-based")
+    if alt > t.order:
+        raise ValueError(f"--alt: index {alt} out of range for order {t.order}")
     if args.within is None:
         within = core.full_set(t.order)
     else:
         within = _index_list_to_mask(args.within, t.order, "--within")
-    result = core.dominators(t, within, args.alt - 1)
+    result = core.dominators(t, within, alt - 1)
     return (0,
-            {"command": "dominators", "file": args.file, "alt": args.alt,
+            {"command": "dominators", "file": args.file, "alt": alt,
              "within": None if args.within is None else _mask_to_indices(within),
              "dominators": _mask_to_indices(result)},
             [_format_mask(result)], [])
@@ -143,18 +149,20 @@ def _cmd_isomorphic(args):
 
 
 def _cmd_gen(args):
-    t = core.random_tournament(args.order, args.seed)
-    text = core.serialize(t)
+    order, seed = _integer(args.order, "--order"), _integer(args.seed, "--seed")
+    text = core.serialize(core.random_tournament(order, seed))
     lines = text.splitlines()
     return (0,
-            {"command": "gen", "order": args.order, "seed": args.seed, "tournament": text},
+            {"command": "gen", "order": order, "seed": seed, "tournament": text},
             lines, lines)
 
 
 def _cmd_search(args):
-    config = search.SearchConfig(order=args.order, trials=args.trials, seed=args.seed,
-                                 mode=args.mode, time_budget=args.time_budget,
-                                 witness_cap=args.witness_cap)
+    config = search.SearchConfig(order=_integer(args.order, "--order"),
+                                 trials=_integer(args.trials, "--trials"),
+                                 seed=_integer(args.seed, "--seed"), mode=args.mode,
+                                 time_budget=args.time_budget,
+                                 witness_cap=_integer(args.witness_cap, "--witness-cap"))
     # a bad value is a usage error, and an unusable directory fails before any trial runs
     config.validate()
     out_dir = None if args.witness_dir is None else Path(args.witness_dir)
@@ -213,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominators", parents=[common], help="list the dominators of an alternative")
     p.add_argument("file", help="tournament file")
-    p.add_argument("--alt", type=int, required=True, help="alternative (1-based)")
+    p.add_argument("--alt", required=True, help="alternative (1-based)")
     p.add_argument("--within", help="restrict to these alternatives (comma-separated, 1-based)")
     p.set_defaults(func=_cmd_dominators)
 
@@ -224,19 +232,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_isomorphic)
 
     p = sub.add_parser("gen", parents=[common], help="generate a seeded random tournament")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--order", required=True)
+    p.add_argument("--seed", required=True)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("search", parents=[common],
                        help="search random tournaments for multiple minimal retentive sets")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--order", required=True)
+    p.add_argument("--trials", required=True)
+    p.add_argument("--seed", required=True)
     p.add_argument("--mode", choices=search.MODES, default="uniform")
     p.add_argument("--time-budget", type=float, default=None,
                    help="seconds per trial; timed-out trials are counted, not findings")
-    p.add_argument("--witness-cap", type=int, default=search.DEFAULT_WITNESS_CAP,
+    p.add_argument("--witness-cap", default=str(search.DEFAULT_WITNESS_CAP),
                    help="max witnesses kept in the report")
     p.add_argument("--witness-dir", default=None,
                    help="directory to write witness tournament files into")

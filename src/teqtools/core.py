@@ -5,6 +5,7 @@ plain ints used as bit vectors, so all set algebra is single machine-word
 arithmetic up to the order cap of 64.
 """
 
+import struct
 import time
 from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
@@ -67,6 +68,8 @@ class Tournament:
     ``beats[i]`` is the AltSet of alternatives that i dominates; ``dom_of[i]``
     is the AltSet of alternatives that dominate i. Instances are validated on
     construction and immutable afterwards, so they are safe to share freely.
+    ``dom_of`` is the transpose of the ``beats`` bit matrix, taken at once on
+    one integer by ``_transpose``.
 
     Validation checks the order and every row for out-of-range and reflexive
     entries first, then every pair (j, i) with j < i in row order: row i, then
@@ -83,17 +86,12 @@ class Tournament:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         beats = tuple(beats)
         universe = (1 << order) - 1
-        dom = [0] * order
         for i, row in enumerate(beats):
             if row & ~universe:
                 raise ValueError(f"alternative {i} dominates out-of-range alternatives")
             if (row >> i) & 1:
                 raise ValueError(f"reflexive entry at ({i},{i})")
-            rest = row
-            while rest:
-                low = rest & -rest
-                dom[low.bit_length() - 1] |= 1 << i
-                rest ^= low
+        dom = _transpose(beats)
         for i in range(1, order):
             below = (1 << i) - 1
             wins, losses = beats[i] & below, dom[i] & below
@@ -105,7 +103,7 @@ class Tournament:
                 raise _PairError(f"{kind} violated at ({j},{i})", i)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "beats", beats)
-        object.__setattr__(self, "dom_of", tuple(dom))
+        object.__setattr__(self, "dom_of", dom)
 
     @classmethod
     def _trusted(cls, beats: Sequence[AltSet]) -> "Tournament":
@@ -141,6 +139,41 @@ class Tournament:
 
     def __repr__(self) -> str:
         return f"Tournament(order={self.order})"
+
+
+def _transpose(rows: tuple[AltSet, ...]) -> tuple[AltSet, ...]:
+    """The transpose of the bit matrix with rows ``rows``: bit i of result j is bit j of rows[i].
+
+    The rows are lanes of w bits of one integer, w the smallest power of two
+    at least max(len(rows), 8), so that a lane is a standard struct integer
+    and the matrix is w x w with zero rows below. Each round swaps the
+    off-diagonal s x s blocks of every 2s x 2s block, for s = w/2 down to 1
+    (Warren, "Hacker's Delight", section 7-3): ``_swap_masks`` picks the bits
+    in lane i, column j with i & s == 0 and j & s != 0, whose partner
+    (i + s, j - s) sits w*s - s bits higher, and each differing pair is
+    flipped. A bit may pass through a lane at or past len(rows) on the way
+    but ends in one below it.
+    """
+    n = len(rows)
+    width = max(8, 1 << (n - 1).bit_length())
+    lanes = f"<{n}{'BHIQ'[width.bit_length() - 4]}"  # n little-endian unsigned integers of width bits
+    x = int.from_bytes(struct.pack(lanes, *rows), "little")
+    for shift, mask in _swap_masks(width):
+        t = (x ^ x >> shift) & mask
+        x ^= t | t << shift
+    return struct.unpack(lanes, x.to_bytes(n * width >> 3, "little"))
+
+
+@lru_cache(maxsize=None)
+def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) of each round of ``_transpose`` at lane width ``width``, built on first use."""
+    rounds = []
+    s = width >> 1
+    while s:
+        row = sum(1 << j for j in range(width) if j & s)
+        rounds.append((width * s - s, sum(row << i * width for i in range(width) if not i & s)))
+        s >>= 1
+    return tuple(rounds)
 
 
 def dominators(t: Tournament, within: AltSet, x: int) -> AltSet:
@@ -420,6 +453,18 @@ def _lanes(order: int) -> tuple[int, int, int, int, itemgetter]:
     return ones, ones * _M64, ramp, ones * ord("0"), cells
 
 
+def _decimal(text: str) -> int:
+    """``text`` as an ASCII decimal integer with an optional leading "-", or ValueError.
+
+    int() alone would also take "+10", "1_0", surrounding whitespace and the
+    digits of other scripts; it raises ValueError itself past the
+    interpreter's limit on digits.
+    """
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(text)
+
+
 def parse(text: str) -> Tournament:
     """Parse the canonical text format (see ``serialize``).
 
@@ -433,11 +478,8 @@ def parse(text: str) -> Tournament:
         raise FormatError("line 1: missing order header")
     header = lines[0].strip()
     try:
-        # int() alone would also take "+10", "1_0" and the digits of other scripts
-        if not (header.isascii() and header.removeprefix("-").isdigit()):
-            raise ValueError(header)
-        order = int(header)
-    except ValueError:  # also raised by int() for a header of thousands of digits
+        order = _decimal(header)
+    except ValueError:
         raise FormatError(f"line 1: expected integer order, got {header!r}") from None
     if not 1 <= order <= MAX_ORDER:
         raise FormatError(f"line 1: order must be between 1 and {MAX_ORDER}, got {order}")
@@ -452,12 +494,13 @@ def parse(text: str) -> Tournament:
         row = lines[i + 1]
         if len(row) != order:
             raise FormatError(f"line {line_no}: expected {order} characters, got {len(row)}")
-        mask = 0
-        for j, c in enumerate(row):
-            if c == "1":
-                mask |= 1 << j
-            elif c != "0":
-                raise FormatError(f"line {line_no}: invalid character {c!r} at column {j + 1}")
+        # int(..., 2) alone would also take "_", "+", surrounding whitespace and
+        # the digits of other scripts, so a row with any other character than
+        # 0 and 1 is scanned for the first one
+        if row.strip("01"):
+            j, c = next((j, c) for j, c in enumerate(row) if c not in "01")
+            raise FormatError(f"line {line_no}: invalid character {c!r} at column {j + 1}")
+        mask = int(row[::-1], 2)  # character j is bit j
         if (mask >> i) & 1:
             raise FormatError(f"line {line_no}: diagonal entry must be 0")
         beats.append(mask)
@@ -473,5 +516,6 @@ def serialize(t: Tournament) -> str:
     Character j of matrix row i is 1 iff i dominates j. Bit-exact: equal
     tournaments serialize to identical text.
     """
-    rows = ["".join("1" if (t.beats[i] >> j) & 1 else "0" for j in range(t.order)) for i in range(t.order)]
+    spec = f"0{t.order}b"
+    rows = [format(row, spec)[::-1] for row in t.beats]  # character j is bit j
     return "\n".join([str(t.order)] + rows) + "\n"

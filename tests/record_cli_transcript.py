@@ -80,6 +80,9 @@ CASES = [
     ["retentive", CE, "--set", "1_3"],
     ["retentive", CE, "--set", "+3"],
     ["dominators", CE, "--alt", "1", "--within", "1,\u0663"],  # an Arabic-Indic 3
+    ["dominators", CE, "--alt", "1_3"],
+    ["gen", "--order", "\u0661\u0662", "--seed", "1"],  # Arabic-Indic digits for 12
+    ["gen", "--order", "12", "--seed", "+7"],
 ]
 
 

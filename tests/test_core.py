@@ -78,6 +78,17 @@ class TestNewTournament:
         with pytest.raises(ValueError, match=r"^completeness violated at \(0,1\)$"):
             Tournament([0b100, 0b100, 0b011])
 
+    def test_dom_of_is_the_transpose(self):
+        # every lane width of the transpose (8, 16, 32 and 64 bits) and both
+        # sides of each boundary; the transitive tournament and its reverse
+        # put bit order - 1 in row 0 and every lower bit in row order - 1
+        for order in range(1, MAX_ORDER + 1):
+            reverse = Tournament([full_set(i) for i in range(order)])
+            for t in [transitive_tournament(order), reverse] + [random_tournament(order, k) for k in range(3)]:
+                rows = t.beats
+                assert Tournament(rows).dom_of == tuple(
+                    altset(i for i in range(order) if rows[i] >> j & 1) for j in range(order))
+
     def test_immutable(self):
         t = transitive_tournament(3)
         with pytest.raises(AttributeError):
@@ -615,6 +626,18 @@ class TestParseSerialize:
         with pytest.raises(FormatError, match=r"line 2: invalid character 'x'"):
             parse("2\n0x\n00\n")
 
+    @pytest.mark.parametrize("char", ["_", "+", " ", "\t", "\uff11", "\u0661"],
+                             ids=["underscore", "plus", "space", "tab", "fullwidth-one", "arabic-indic-one"])
+    def test_rejects_what_int_base_two_takes(self, char):
+        # int(row, 2) reads a row with one of these in some place: "1_0", "+10",
+        # " 10", "\uff110" and "\u06610" are all 2 to it
+        rows = serialize(random_tournament(9, 0)).split("\n")[1:-1]
+        for column in (0, 4, 8):
+            bad = rows[3][:column] + char + rows[3][column + 1:]
+            with pytest.raises(FormatError) as parsed:
+                parse("\n".join(["9", *rows[:3], bad, *rows[4:]]))
+            assert str(parsed.value) == f"line 5: invalid character {char!r} at column {column + 1}"
+
     def test_diagonal(self):
         with pytest.raises(FormatError, match="line 2: diagonal"):
             parse("2\n11\n00\n")
@@ -623,16 +646,17 @@ class TestParseSerialize:
         with pytest.raises(FormatError, match="line 4: unexpected trailing"):
             parse("2\n01\n00\njunk\n")
 
-    @given(order=st.integers(2, 10), near=st.booleans(), data=st.data())
+    @given(order=st.integers(1, MAX_ORDER), near=st.booleans(), data=st.data())
     @settings(max_examples=300)
     def test_agrees_with_constructor(self, order, near, data):
         # a zero-diagonal 0/1 matrix, either arbitrary or a tournament with a
-        # few cells toggled
+        # few off-diagonal cells toggled
         if near:
             rows = list(random_tournament(order, data.draw(seeds)).beats)
             cell = st.tuples(st.integers(0, order - 1), st.integers(0, order - 1))
-            for i, j in data.draw(st.lists(cell.filter(lambda c: c[0] != c[1]), max_size=3)):
-                rows[i] ^= 1 << j
+            for i, j in data.draw(st.lists(cell, max_size=3)):
+                if i != j:
+                    rows[i] ^= 1 << j
         else:
             rows = [data.draw(st.integers(0, full_set(order))) & ~(1 << i) for i in range(order)]
         text = "\n".join([str(order)] + ["".join(str(r >> j & 1) for j in range(order)) for r in rows])
@@ -653,7 +677,7 @@ class TestParseSerialize:
     def test_counterexample_round_trip(self, big_t):
         assert parse(serialize(big_t)) == big_t
 
-    @given(seed=seeds, order=st.integers(1, 20))
+    @given(seed=seeds, order=st.integers(1, MAX_ORDER))
     def test_round_trip(self, seed, order):
         t = random_tournament(order, seed)
         assert parse(serialize(t)) == t
