@@ -45,6 +45,16 @@ def _integer(text: str, flag: str) -> int:
         raise ValueError(f"{flag}: expected an integer, got {text!r}") from None
 
 
+def _seconds(text: str) -> float:
+    """The value of ``--time-budget``: ``_integer``'s rule, with at most one "." among the digits."""
+    whole, _, fraction = text.partition(".")
+    if text.isascii() and (whole.removeprefix("-") + fraction).isdigit():
+        value = float(text)
+        if abs(value) <= sys.float_info.max:  # float() reads a value past the largest float as inf
+            return value
+    raise ValueError(f"--time-budget: expected a decimal number of seconds, got {text!r}")
+
+
 def _mask_to_indices(mask: int) -> list[int]:
     return [v + 1 for v in core.iter_members(mask)]
 
@@ -161,7 +171,7 @@ def _cmd_search(args):
     config = search.SearchConfig(order=_integer(args.order, "--order"),
                                  trials=_integer(args.trials, "--trials"),
                                  seed=_integer(args.seed, "--seed"), mode=args.mode,
-                                 time_budget=args.time_budget,
+                                 time_budget=None if args.time_budget is None else _seconds(args.time_budget),
                                  witness_cap=_integer(args.witness_cap, "--witness-cap"))
     # a bad value is a usage error, and an unusable directory fails before any trial runs
     config.validate()
@@ -187,12 +197,22 @@ def _cmd_search(args):
     return 0, payload, lines, [f"found {report.found} / {report.trials}"]
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach main's one error line instead of exiting.
+
+    Subparsers are built from the class of their parent, so they raise too.
+    """
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable JSON output")
     common.add_argument("--quiet", action="store_true", help="suppress non-essential output")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="Tournament equilibrium set computations, retentive sets, "
                     "the embedded order-24 two-minimal-sets instance, and a seeded search harness. "
@@ -241,9 +261,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True)
     p.add_argument("--trials", required=True)
     p.add_argument("--seed", required=True)
-    p.add_argument("--mode", choices=search.MODES, default="uniform")
-    p.add_argument("--time-budget", type=float, default=None,
-                   help="seconds per trial; timed-out trials are counted, not findings")
+    p.add_argument("--mode", default="uniform", help=f"one of {', '.join(search.MODES)} (default uniform)")
+    p.add_argument("--time-budget", default=None,
+                   help="seconds per trial (ASCII digits, an optional leading '-', at most one '.'); "
+                        "timed-out trials are counted, not findings")
     p.add_argument("--witness-cap", default=str(search.DEFAULT_WITNESS_CAP),
                    help="max witnesses kept in the report")
     p.add_argument("--witness-dir", default=None,
@@ -254,8 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         code, payload, lines, quiet_lines = args.func(args)
         if args.json:
             print(json.dumps(payload, indent=2))

@@ -66,8 +66,11 @@ class Tournament:
     """A complete asymmetric dominance relation on alternatives 0..order-1.
 
     ``beats[i]`` is the AltSet of alternatives that i dominates; ``dom_of[i]``
-    is the AltSet of alternatives that dominate i. Instances are validated on
-    construction and immutable afterwards, so they are safe to share freely.
+    is the AltSet of alternatives that dominate i. ``Tournament(rows)``, and so
+    ``parse``, validates the rows; the builders in this package whose rows are
+    valid by construction (``random_tournament``, ``compose_structured``,
+    ``restrict``) skip the check through ``_trusted``. Instances are immutable,
+    so they are safe to share freely.
     ``dom_of`` is the transpose of the ``beats`` bit matrix, taken at once on
     one integer by ``_transpose``.
 
@@ -204,16 +207,17 @@ def restrict(t: Tournament, subset: AltSet) -> tuple[Tournament, tuple[int, ...]
 
 
 def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool:
-    """Check that ``mapping`` is a dominance-preserving bijection from a to b."""
+    """Check that ``mapping`` is a dominance-preserving bijection from a to b.
+
+    A bijection preserves dominance iff it maps each alternative's row onto
+    the row of its image, so one row is compared at a time. The check is
+    written apart from ``_preserves``, whose answer it rechecks.
+    """
     if a.order != b.order or len(mapping) != a.order:
         return False
     if not all(isinstance(v, int) for v in mapping) or sorted(mapping) != list(range(b.order)):
         return False
-    for i in range(a.order):
-        for j in range(a.order):
-            if i != j and a.dominates(i, j) != b.dominates(mapping[i], mapping[j]):
-                return False
-    return True
+    return all(_map_set(mapping, row) == b.beats[w] for row, w in zip(a.beats, mapping))
 
 
 def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:

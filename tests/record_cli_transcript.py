@@ -83,6 +83,14 @@ CASES = [
     ["dominators", CE, "--alt", "1_3"],
     ["gen", "--order", "\u0661\u0662", "--seed", "1"],  # Arabic-Indic digits for 12
     ["gen", "--order", "12", "--seed", "+7"],
+    # seconds follow the integer rule with at most one "."; "\u0661_0" is an Arabic-Indic 1, "_" and 0
+    *([*SEARCH, "--time-budget", b] for b in ("\u0661_0", " 1", "1_0", "0x1", "1e-3", "1e309", "inf", "nan")),
+    *([*SEARCH, "--time-budget", b] for b in ("0", "0.5", "10")),  # 0: every trial times out
+    [*SEARCH, "--mode", "bogus"],
+    # argparse's own usage errors, worded alike on every supported Python
+    ["gen", "--order", "5"],
+    ["gen", "--order"],
+    ["teq", CE, "--frobnicate"],
 ]
 
 
