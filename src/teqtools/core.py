@@ -66,19 +66,38 @@ class Tournament:
     """A complete asymmetric dominance relation on alternatives 0..order-1.
 
     ``beats[i]`` is the AltSet of alternatives that i dominates; ``dom_of[i]``
-    is the AltSet of alternatives that dominate i. ``Tournament(rows)``, and so
-    ``parse``, validates the rows; the builders in this package whose rows are
-    valid by construction (``random_tournament``, ``compose_structured``,
-    ``restrict``) skip the check through ``_trusted``. Instances are immutable,
+    is the AltSet of alternatives that dominate i. Every tournament, parsed or
+    generated, is built here and passes one check. Instances are immutable,
     so they are safe to share freely.
-    ``dom_of`` is the transpose of the ``beats`` bit matrix, taken at once on
-    one integer by ``_transpose``.
 
-    Validation checks the order and every row for out-of-range and reflexive
-    entries first, then every pair (j, i) with j < i in row order: row i, then
-    column j ascending. The first bad pair is reported as ``asymmetry
-    violated at (j,i)`` (each beats the other) or ``completeness violated at
-    (j,i)`` (neither does).
+    The check packs the rows as lanes of w bits of one integer ``rows``, w
+    the smallest power of two at least max(order, 8), so that a lane is a
+    standard struct integer and the matrix is w x w with zero rows below.
+    ``cols`` is its transpose, taken in log2(w) rounds (Warren, "Hacker's
+    Delight", section 7-3): the round for s = w/2 down to 1 swaps the
+    off-diagonal s x s blocks of every 2s x 2s block, flipping each differing
+    pair of bits in lane i, column j with i & s == 0 and j & s != 0 and its
+    partner (i + s, j - s), w*s - s bits higher. The rows are a tournament
+    iff ``rows & cols == 0`` and ``rows | cols`` is ``off_diagonal``, the bits
+    (i, j) with i != j, both below order:
+
+    * for i != j, bit j of lane i is "i beats j" in ``rows`` and "j beats i"
+      in ``cols``; both set violates asymmetry, neither completeness;
+    * a reflexive bit is set in both ``rows`` and ``cols``, so the AND
+      catches it;
+    * a bit at column j >= order lies outside ``off_diagonal`` (and moves to
+      lane j of ``cols``), so the OR test catches it;
+    * a row that struct refuses to pack (negative, wider than its lane, or
+      not an integer) fails the check as well.
+
+    ``dom_of`` is unpacked from ``cols`` only after the check passes, since
+    a bit in a lane at or past order would overflow the unpack.
+
+    Rows that fail are scanned to name the first violation: the rows for
+    out-of-range and reflexive entries first, then every pair (j, i) with
+    j < i in row order: row i, then column j ascending. The first bad pair
+    is reported as ``asymmetry violated at (j,i)`` (each beats the other) or
+    ``completeness violated at (j,i)`` (neither does).
     """
 
     __slots__ = ("order", "beats", "dom_of")
@@ -88,45 +107,20 @@ class Tournament:
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         beats = tuple(beats)
-        universe = (1 << order) - 1
-        for i, row in enumerate(beats):
-            if row & ~universe:
-                raise ValueError(f"alternative {i} dominates out-of-range alternatives")
-            if (row >> i) & 1:
-                raise ValueError(f"reflexive entry at ({i},{i})")
-        dom = _transpose(beats)
-        for i in range(1, order):
-            below = (1 << i) - 1
-            wins, losses = beats[i] & below, dom[i] & below
-            both = wins & losses
-            bad = both | (below & ~(wins | losses))
-            if bad:
-                j = (bad & -bad).bit_length() - 1
-                kind = "asymmetry" if (both >> j) & 1 else "completeness"
-                raise _PairError(f"{kind} violated at ({j},{i})", i)
+        lanes, rounds, off_diagonal = _packing(order)
+        try:
+            rows = int.from_bytes(lanes.pack(*beats), "little")
+        except struct.error:  # a row is negative, wider than its lane, or not an integer
+            rows = -1  # every bit set, and the rounds keep it so in cols: the check fails
+        cols = rows
+        for shift, mask in rounds:
+            t = (cols ^ cols >> shift) & mask
+            cols ^= t | t << shift
+        if rows & cols or rows | cols != off_diagonal:
+            raise _violation(beats)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "beats", beats)
-        object.__setattr__(self, "dom_of", dom)
-
-    @classmethod
-    def _trusted(cls, beats: Sequence[AltSet]) -> "Tournament":
-        """A tournament from rows that are valid by construction, without the pair check.
-
-        Every other alternative either beats i or is beaten by it, so
-        ``dom_of[i]`` is the universe without i and ``beats[i]``. For callers
-        in this package that build the rows themselves; input from outside
-        goes through ``Tournament(...)``.
-        """
-        beats = tuple(beats)
-        universe = (1 << len(beats)) - 1
-        t = object.__new__(cls)
-        object.__setattr__(t, "order", len(beats))
-        object.__setattr__(t, "beats", beats)
-        # from a list, not a generator: a tuple built from a generator starts
-        # small and is resized, and over a search run that left ~1 MB more
-        # peak memory (CPython 3.11)
-        object.__setattr__(t, "dom_of", tuple([universe ^ row ^ (1 << i) for i, row in enumerate(beats)]))
-        return t
+        object.__setattr__(self, "dom_of", lanes.unpack(cols.to_bytes(lanes.size, "little")))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tournament is immutable")
@@ -144,39 +138,34 @@ class Tournament:
         return f"Tournament(order={self.order})"
 
 
-def _transpose(rows: tuple[AltSet, ...]) -> tuple[AltSet, ...]:
-    """The transpose of the bit matrix with rows ``rows``: bit i of result j is bit j of rows[i].
-
-    The rows are lanes of w bits of one integer, w the smallest power of two
-    at least max(len(rows), 8), so that a lane is a standard struct integer
-    and the matrix is w x w with zero rows below. Each round swaps the
-    off-diagonal s x s blocks of every 2s x 2s block, for s = w/2 down to 1
-    (Warren, "Hacker's Delight", section 7-3): ``_swap_masks`` picks the bits
-    in lane i, column j with i & s == 0 and j & s != 0, whose partner
-    (i + s, j - s) sits w*s - s bits higher, and each differing pair is
-    flipped. A bit may pass through a lane at or past len(rows) on the way
-    but ends in one below it.
-    """
-    n = len(rows)
-    width = max(8, 1 << (n - 1).bit_length())
-    lanes = f"<{n}{'BHIQ'[width.bit_length() - 4]}"  # n little-endian unsigned integers of width bits
-    x = int.from_bytes(struct.pack(lanes, *rows), "little")
-    for shift, mask in _swap_masks(width):
-        t = (x ^ x >> shift) & mask
-        x ^= t | t << shift
-    return struct.unpack(lanes, x.to_bytes(n * width >> 3, "little"))
-
-
 @lru_cache(maxsize=None)
-def _swap_masks(width: int) -> tuple[tuple[int, int], ...]:
-    """(shift, mask) of each round of ``_transpose`` at lane width ``width``, built on first use."""
+def _packing(order: int) -> tuple[struct.Struct, tuple[tuple[int, int], ...], int]:
+    """The lanes, swap rounds and ``off_diagonal`` of the ``Tournament`` check, built on first use."""
+    width = max(8, 1 << (order - 1).bit_length())
+    lanes = struct.Struct(f"<{order}{'BHIQ'[width.bit_length() - 4]}")  # order unsigned little-endian lanes
     rounds = []
     s = width >> 1
     while s:
         row = sum(1 << j for j in range(width) if j & s)
         rounds.append((width * s - s, sum(row << i * width for i in range(width) if not i & s)))
         s >>= 1
-    return tuple(rounds)
+    universe = (1 << order) - 1
+    return lanes, tuple(rounds), sum((universe ^ 1 << i) << i * width for i in range(order))
+
+
+def _violation(beats: tuple[AltSet, ...]) -> ValueError:
+    """The first violation in rows that fail the ``Tournament`` check, in the order its docstring gives."""
+    universe = (1 << len(beats)) - 1
+    for i, row in enumerate(beats):
+        if row & ~universe:
+            return ValueError(f"alternative {i} dominates out-of-range alternatives")
+        if (row >> i) & 1:
+            return ValueError(f"reflexive entry at ({i},{i})")
+    for i, row in enumerate(beats):
+        for j in range(i):
+            if (row >> j) & 1 == (beats[j] >> i) & 1:
+                kind = "asymmetry" if (row >> j) & 1 else "completeness"
+                return _PairError(f"{kind} violated at ({j},{i})", i)
 
 
 def dominators(t: Tournament, within: AltSet, x: int) -> AltSet:
@@ -203,7 +192,7 @@ def restrict(t: Tournament, subset: AltSet) -> tuple[Tournament, tuple[int, ...]
     for v in verts:
         row = t.beats[v]
         beats.append(altset(k for k, w in enumerate(verts) if (row >> w) & 1))
-    return Tournament._trusted(beats), tuple(verts)
+    return Tournament(beats), tuple(verts)
 
 
 def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool:
@@ -431,7 +420,7 @@ def random_tournament(order: int, seed: int) -> Tournament:
     z = ((z ^ z >> 27) & mask) * _MIX2 >> 63 & ones | zeros
     bits = z.to_bytes(order * (order - 1) << 3, "little")[::16]  # 16 bytes a pair
     matrix = bytes(cells(bits + bits.translate(_FLIP) + b"0"))
-    return Tournament._trusted([int(matrix[i:i + order], 2) for i in range(0, order * order, order)])
+    return Tournament([int(matrix[i:i + order], 2) for i in range(0, order * order, order)])
 
 
 @lru_cache(maxsize=None)
@@ -501,7 +490,7 @@ def parse(text: str) -> Tournament:
         # int(..., 2) alone would also take "_", "+", surrounding whitespace and
         # the digits of other scripts, so a row with any other character than
         # 0 and 1 is scanned for the first one
-        if row.strip("01"):
+        if row.count("0") + row.count("1") != order:
             j, c = next((j, c) for j, c in enumerate(row) if c not in "01")
             raise FormatError(f"line {line_no}: invalid character {c!r} at column {j + 1}")
         mask = int(row[::-1], 2)  # character j is bit j

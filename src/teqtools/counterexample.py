@@ -77,8 +77,8 @@ def build_counterexample() -> CounterexampleInstance:
     """Construct the instance from the embedded tables.
 
     The X half is built from DOM_X_TABLE and glued to its copy by
-    ``compose_structured``. The constructor validates that the table yields
-    a legal tournament (exactly one orientation per pair), so an
+    ``compose_structured``. The ``Tournament`` constructor validates the half
+    and the composition alike (exactly one orientation per pair), so an
     inconsistent table cannot produce an instance.
     """
     half = [0] * 12

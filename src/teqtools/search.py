@@ -86,7 +86,7 @@ def compose_structured(half: Tournament, split: int) -> Tournament:
     block2 = ((1 << n) - 1) ^ block1
     beats = [row | (block2 if v < split else block1) << n for v, row in enumerate(half.beats)]
     beats += [row << n | (block1 if v < split else block2) for v, row in enumerate(half.beats)]
-    return Tournament._trusted(beats)
+    return Tournament(beats)
 
 
 def search_random(config: SearchConfig) -> SearchReport:

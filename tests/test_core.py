@@ -24,7 +24,6 @@ from teqtools.core import (
     restrict,
     serialize,
 )
-from teqtools.search import compose_structured
 
 from conftest import (
     circulant,
@@ -66,6 +65,28 @@ class TestNewTournament:
     def test_row_beyond_order_rejected(self):
         with pytest.raises(ValueError, match="^alternative 1 dominates out-of-range alternatives$"):
             Tournament([0, 0b101])
+
+    @pytest.mark.parametrize("order, i, bit, message", [
+        (5, 2, 6, "^alternative 2 dominates out-of-range alternatives$"),  # inside the 8-bit lane
+        (5, 2, 9, "^alternative 2 dominates out-of-range alternatives$"),  # past the lane
+        (64, 0, 64, "^alternative 0 dominates out-of-range alternatives$"),  # past 64 bits
+        (64, 63, 63, r"^reflexive entry at \(63,63\)$"),
+    ])
+    def test_stray_bit_rejected(self, order, i, bit, message):
+        # the other rows are a tournament, so the stray bit alone makes the rows invalid
+        rows = list(transitive_tournament(order).beats)
+        rows[i] |= 1 << bit
+        with pytest.raises(ValueError, match=message):
+            Tournament(rows)
+
+    @pytest.mark.parametrize("rows, error, message", [
+        ([-1], ValueError, "^alternative 0 dominates out-of-range alternatives$"),
+        ([-1, 0], ValueError, "^alternative 0 dominates out-of-range alternatives$"),
+        ([2.0, 0], TypeError, "unsupported operand"),
+    ])
+    def test_row_that_is_no_bit_set_rejected(self, rows, error, message):
+        with pytest.raises(error, match=message):
+            Tournament(rows)
 
     @pytest.mark.parametrize("order", [0, 65])
     def test_order_bounds(self, order):
@@ -175,41 +196,6 @@ class TestRestrict:
             for j in range(sub.order):
                 if i != j:
                     assert sub.dominates(i, j) == t.dominates(mapping[i], mapping[j])
-
-
-class TestTrustedConstruction:
-    """Generated tournaments skip the pair check; they must equal the validated construction."""
-
-    @staticmethod
-    def assert_validated(t):
-        validated = Tournament(t.beats)
-        assert (t.order, t.beats, t.dom_of) == (validated.order, validated.beats, validated.dom_of)
-
-    def test_random_tournament(self):
-        for order in range(1, 65):
-            for k in range(50):
-                self.assert_validated(random_tournament(order, derive_seed(order, k)))
-
-    def test_compose_structured(self):
-        for half_order in range(2, 33, 2):
-            for k in range(50):
-                half = random_tournament(half_order, derive_seed(half_order, k))
-                self.assert_validated(compose_structured(half, half_order // 2))
-
-    def test_restrict(self):
-        rng = random.Random(2013)
-        for order in range(1, 65):
-            t = random_tournament(order, order)
-            for _ in range(50):
-                subset = rng.getrandbits(order) or 1
-                sub, _ = restrict(t, subset)
-                self.assert_validated(sub)
-
-    def test_hash_agrees_with_validated(self):
-        for order in (1, 2, 17, 64):
-            t = random_tournament(order, order)
-            validated = Tournament(t.beats)
-            assert t == validated and hash(t) == hash(validated)
 
 
 def brute_force_isomorphism(a, b):

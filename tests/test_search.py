@@ -18,7 +18,7 @@ class TestComposeStructured:
 
     def test_order_two_half(self):
         t = compose_structured(transitive_tournament(2), 1)
-        assert t.order == 4  # constructor validated completeness
+        assert t.order == 4  # the constructor checked completeness
 
     def test_restrict_back_to_first_copy(self):
         half = random_tournament(6, 11)
