@@ -8,25 +8,32 @@ Run it only at a commit whose CLI output is known to be right: the replay test
 Every case runs through ``cli.main`` in a fresh directory holding the files
 below and the bundled order-24 instance as ``counterexample24.txt``, so paths
 in the output are relative. The JSON keeps the files, and for each command its
-argv, exit code, stdout and stderr.
+argv, exit code, stdout and stderr. ``search`` reports wall time, so its
+``total time:`` text line and its ``*_seconds`` JSON values are recorded as
+``<time>``; a second run writes the same bytes. The replay test sets up its
+directory and runs each case through ``write_inputs`` and ``run`` below.
 
 To add a case, append its argv to ``CASES`` (a new input file goes in
 ``MALFORMED`` or ``input_files``) and re-run the command above. The replay test
-fails until the transcript is re-recorded. Check that the re-recorded file
-differs from the old one only in the appended case and in the ``search``
-timings, which change on every run and which the replay masks.
+fails until the transcript is re-recorded, and the re-recorded file differs
+from the old one only in what was added.
 """
 
 import contextlib
 import io
 import json
 import os
+import random
+import re
 import tempfile
 from pathlib import Path
 
 import teqtools
 from teqtools import cli, core
 from teqtools.counterexample import GOLDEN_FILE
+from teqtools.teq import minimal_retentive_sets
+
+from conftest import circulant, paley_tournament, random_connection_set, relabel
 
 OUT = Path(__file__).parent / "data" / "cli_transcript.json"
 
@@ -91,25 +98,78 @@ CASES = [
     ["gen", "--order", "5"],
     ["gen", "--order"],
     ["teq", CE, "--frobnicate"],
+    ["teq", "cycle3.txt"],
+    ["teq", "crlf.txt"],
+    ["teq", "cr.txt"],  # a lone "\r" ends no line, so the header is the whole file
+    ["minimal-retentive", "paley59.txt", "--json"],
+    ["retentive", CE, "--set", ",".join(str(v) for v in range(13, 25))],
+    *(["retentive", CE, "--set", s] for s in ("1", "1,abc", "25")),
+    ["dominators", CE, "--alt", "25"],
+    ["isomorphic", "x_half.txt", "y_half.txt"],
+    ["isomorphic", "cycle3.txt", "transitive3.txt"],
+    ["isomorphic", "cycle3.txt", "cycle3.txt", "--json"],
+    *(["isomorphic", "circulant63.txt", "other63.txt", *m] for m in OUTPUT_FLAGS[::2]),
+    ["isomorphic", "copy63_a.txt", "copy63_b.txt", "--json"],
+    ["gen", "--order", "5", "--seed", "42"],
+    ["gen", "--order", "4", "--seed", "1", "--json"],
+    ["search", "--order", "10", "--trials", "1", "--seed", "0", "--mode", "structured"],
 ]
+
+TIMING = re.compile(r"(total time: |_seconds\": )[^ ,\n]+(  \(max trial [^)]*\))?")
+CYCLE = "3\n010\n001\n100\n"
+
+
+def out_neighbourhood_scores(t: core.Tournament) -> list:
+    """Sorted scores inside 0's out-neighbourhood; 0 stands for any vertex of a vertex-transitive t."""
+    return sorted((t.beats[u] & t.beats[0]).bit_count() for u in core.members(t.beats[0]))
 
 
 def input_files(golden: str) -> dict:
-    """The malformed files plus two order-24 files for ``isomorphic``."""
+    """The malformed files plus the tournaments of the other cases, with the premise of each asserted."""
     t = core.parse(golden)
     n = t.order
-    # alternative v renamed n-1-v: isomorphic to the instance by construction
-    reversed_beats = [core.altset(n - 1 - w for w in core.members(t.beats[n - 1 - v])) for v in range(n)]
+    x_half, y_half = (core.restrict(t, h)[0] for h in (core.full_set(12), core.full_set(12) << 12))
+    assert core.is_isomorphism(x_half, y_half, list(range(12)))  # x_i maps to y_i
+    # a regular order-59 tournament, the largest Paley order under the cap
+    paley = relabel(paley_tournament(59), random.Random(59).sample(range(59), 59))
+    assert minimal_retentive_sets(paley) == [core.full_set(59)]
+    # the rotational circulant's out-neighbourhoods are transitive, the other's are not
+    rotational = circulant(63, range(1, 32))
+    other = relabel(circulant(63, [d if d % 3 else 63 - d for d in range(1, 32)]),
+                    random.Random(63).sample(range(63), 63))
+    assert out_neighbourhood_scores(rotational) == list(range(31)) != out_neighbourhood_scores(other)
+    rng = random.Random(6363)
+    connection = random_connection_set(rng, 63)
+    copy_a, copy_b = (relabel(circulant(63, connection), rng.sample(range(63), 63)) for _ in "ab")
     return {**MALFORMED,
-            "relabelled24.txt": core.serialize(core.Tournament(reversed_beats)),
-            "random24.txt": core.serialize(core.random_tournament(n, 1))}
+            "relabelled24.txt": core.serialize(relabel(t, range(n)[::-1])),  # v renamed n-1-v
+            "random24.txt": core.serialize(core.random_tournament(n, 1)),
+            "cycle3.txt": CYCLE,
+            "transitive3.txt": "3\n011\n001\n000\n",
+            "crlf.txt": CYCLE.replace("\n", "\r\n"),
+            "cr.txt": "3\r011\r001\r000\r",
+            "paley59.txt": core.serialize(paley),
+            "x_half.txt": core.serialize(x_half),
+            "y_half.txt": core.serialize(y_half),
+            "circulant63.txt": core.serialize(rotational),
+            "other63.txt": core.serialize(other),
+            "copy63_a.txt": core.serialize(copy_a),
+            "copy63_b.txt": core.serialize(copy_b)}
+
+
+def write_inputs(directory: Path, files: dict, golden: str) -> None:
+    """Write the files and the instance as ``counterexample24.txt``, with no newline translation."""
+    for name, text in {**files, CE: golden}.items():
+        (directory / name).write_text(text, newline="")
 
 
 def run(argv: list) -> dict:
+    """One case as recorded: ``search`` wall times become ``<time>``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+    stdout = TIMING.sub(r"\1<time>", out.getvalue()) if argv[0] == "search" else out.getvalue()
+    return {"argv": argv, "exit": code, "stdout": stdout, "stderr": err.getvalue()}
 
 
 def main() -> None:
@@ -117,8 +177,7 @@ def main() -> None:
     files = input_files(golden)
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
-        for name, text in {**files, CE: golden}.items():
-            (Path(tmp) / name).write_text(text)
+        write_inputs(Path(tmp), files, golden)
         os.chdir(tmp)
         try:
             cases = [run(argv) for argv in CASES]
