@@ -3,7 +3,9 @@
 Output the CLI prints for text inputs is pinned in ``data/cli_transcript.json``
 (``test_cli_transcript.py``). What stays here needs bytes that are not UTF-8,
 a filesystem side effect or a monkeypatch, argparse wording that differs
-between Python versions, or a fresh interpreter.
+between Python versions, or a fresh interpreter, except
+``test_not_isomorphic``, which the transcript row
+``isomorphic cycle3.txt transitive3.txt`` also covers.
 """
 
 import json
@@ -18,6 +20,7 @@ from teqtools.cli import main
 from teqtools.core import parse
 
 THREE_CYCLE = "3\n010\n001\n100\n"
+TRANSITIVE_3 = "3\n011\n001\n000\n"
 
 
 class TestTeqCommand:
@@ -31,6 +34,14 @@ class TestTeqCommand:
 
 
 class TestIsomorphicCommand:
+    def test_not_isomorphic(self, capsys, tmp_path):
+        fa = tmp_path / "a.txt"
+        fb = tmp_path / "b.txt"
+        fa.write_text(THREE_CYCLE)
+        fb.write_text(TRANSITIVE_3)
+        assert main(["isomorphic", str(fa), str(fb)]) == 1
+        assert capsys.readouterr().out.strip() == "not isomorphic"
+
     def test_undecodable_second_file_is_malformed_input(self, capsys, tmp_path):
         fa = tmp_path / "a.txt"
         fb = tmp_path / "b.txt"

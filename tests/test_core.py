@@ -545,6 +545,10 @@ class TestRandomTournament:
 
 
 class TestParseSerialize:
+    def test_parse_transitive(self):
+        t = parse("3\n011\n001\n000\n")
+        assert t.dominates(0, 1) and t.dominates(0, 2) and t.dominates(1, 2)
+
     def test_parse_without_trailing_newline(self):
         assert parse("2\n01\n00") == parse("2\n01\n00\n")
 
@@ -561,6 +565,18 @@ class TestParseSerialize:
         with pytest.raises(FormatError) as parsed:
             parse(f"3\n011{sep}001\n000\n")
         assert str(parsed.value) == "line 4: expected 3 matrix rows, found 2"
+
+    def test_completeness_error_names_pair_and_line(self):
+        with pytest.raises(FormatError, match=r"line 3: completeness violated at \(0,1\)"):
+            parse("2\n00\n00\n")
+
+    def test_asymmetry_error(self):
+        with pytest.raises(FormatError, match=r"asymmetry violated at \(0,1\)"):
+            parse("2\n01\n10\n")
+
+    def test_bad_header(self):
+        with pytest.raises(FormatError, match="line 1"):
+            parse("abc\n01\n00\n")
 
     @pytest.mark.parametrize("header, message", [
         ("1_0", "expected integer order, got '1_0'"),
@@ -579,6 +595,18 @@ class TestParseSerialize:
         with pytest.raises(FormatError, match="^line 1: " + message):
             parse(header + "\n" + rows)
 
+    def test_non_square(self):
+        with pytest.raises(FormatError, match="line 2"):
+            parse("3\n0111\n001\n000\n")
+
+    def test_missing_rows(self):
+        with pytest.raises(FormatError, match="expected 3 matrix rows"):
+            parse("3\n011\n001\n")
+
+    def test_bad_character(self):
+        with pytest.raises(FormatError, match=r"line 2: invalid character 'x'"):
+            parse("2\n0x\n00\n")
+
     @pytest.mark.parametrize("char", ["_", "+", " ", "\t", "\uff11", "\u0661"],
                              ids=["underscore", "plus", "space", "tab", "fullwidth-one", "arabic-indic-one"])
     def test_rejects_what_int_base_two_takes(self, char):
@@ -590,6 +618,14 @@ class TestParseSerialize:
             with pytest.raises(FormatError) as parsed:
                 parse("\n".join(["9", *rows[:3], bad, *rows[4:]]))
             assert str(parsed.value) == f"line 5: invalid character {char!r} at column {column + 1}"
+
+    def test_diagonal(self):
+        with pytest.raises(FormatError, match="line 2: diagonal"):
+            parse("2\n11\n00\n")
+
+    def test_trailing_garbage(self):
+        with pytest.raises(FormatError, match="line 4: unexpected trailing"):
+            parse("2\n01\n00\njunk\n")
 
     @given(order=st.integers(1, MAX_ORDER), near=st.booleans(), data=st.data())
     @settings(max_examples=300)

@@ -10,7 +10,9 @@ from teqtools import counterexample
 from teqtools.core import altset, dominators, full_set, is_isomorphism, parse, restrict, serialize
 from teqtools.counterexample import (
     DOM_X_TABLE,
+    EXPECTED_TEQ_TABLE,
     build_counterexample,
+    expected_teq_masks,
     label,
     label_set,
     verify_claims,
@@ -88,6 +90,24 @@ class TestVerifyClaims:
         assert time.monotonic() - started < 10.0
         assert report.all_passed
         assert [c.claim_id for c in report.claims if not c.passed] == []
+
+    def test_claim_inventory(self, instance):
+        report = verify_claims(instance)
+        ids = [c.claim_id for c in report.claims]
+        assert [f"teq-dom-x{i}" for i in range(1, 13)] == ids[:12]
+        for required in ("x-retentive", "teq-dom-y-inside-y", "y-retentive",
+                         "x-y-disjoint", "halves-isomorphic", "x-y-symmetry",
+                         "two-minimal-sets"):
+            assert required in ids
+        assert len(report.notes) == 2
+
+    def test_halves_isomorphic_witness_is_identity(self, instance):
+        claim = next(c for c in verify_claims(instance).claims if c.claim_id == "halves-isomorphic")
+        assert claim.details == "witness " + " ".join(f"x{i}->y{i}" for i in range(1, 13))
+
+    def test_expected_table_row_12(self):
+        assert EXPECTED_TEQ_TABLE[12] == (3, 4, 9)
+        assert expected_teq_masks()[12] == altset([2, 3, 8])
 
     def test_claims_recomputable_from_tournament_alone(self, instance):
         # round-trip the tournament through text; claims must still pass
