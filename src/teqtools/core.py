@@ -7,7 +7,7 @@ arithmetic up to the order cap of 64.
 
 import struct
 import time
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import lru_cache
 from operator import itemgetter
 
@@ -199,14 +199,16 @@ def is_isomorphism(a: Tournament, b: Tournament, mapping: Sequence[int]) -> bool
     """Check that ``mapping`` is a dominance-preserving bijection from a to b.
 
     A bijection preserves dominance iff it maps each alternative's row onto
-    the row of its image, so one row is compared at a time. The check is
-    written apart from ``_preserves``, whose answer it rechecks.
+    the row of its image, so each row is mapped through the mapping's
+    ``_mapper`` and compared with its image's row. The check is written
+    apart from ``_preserves``, whose answer it rechecks.
     """
     if a.order != b.order or len(mapping) != a.order:
         return False
     if not all(isinstance(v, int) for v in mapping) or sorted(mapping) != list(range(b.order)):
         return False
-    return all(_map_set(mapping, row) == b.beats[w] for row, w in zip(a.beats, mapping))
+    image = _mapper(mapping, full_set(a.order), a.order)
+    return all(image(row) == b.beats[w] for row, w in zip(a.beats, mapping))
 
 
 def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:
@@ -294,14 +296,25 @@ def _preserves(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: li
     return image == rows_b
 
 
-def _map_set(mapping: Sequence[int], s: AltSet) -> AltSet:
-    """The image of the set s under ``mapping`` (``mapping[v]`` is the image of v)."""
-    image = 0
-    while s:
-        low = s & -s
-        image |= 1 << mapping[low.bit_length() - 1]
-        s ^= low
-    return image
+def _mapper(mapping: Sequence[int], domain: AltSet, order: int) -> Callable[[AltSet], AltSet]:
+    """The function taking a subset s of ``domain`` to its image under ``mapping``.
+
+    ``mapping[v]`` is the image of v for each v in ``domain``; members of
+    ``domain`` and their images lie below ``order``, and distinct members
+    have distinct images. Other entries are not read. Its inputs must be
+    subsets of ``domain``; for any other set the result is undefined.
+
+    One getter, built here, lays out the digits of ``format(s, f"0{order}b")
+    + "0"`` (character order - 1 - v is bit v) as the image's digits: the
+    digit of bit mapping[v] is read from v's character, and the trailing
+    "0" fills every position that no member of ``domain`` maps to.
+    """
+    source = [order] * order  # the trailing "0"
+    for v in iter_members(domain):
+        source[order - 1 - mapping[v]] = order - 1 - v
+    digits = itemgetter(*source)
+    spec = f"0{order}b"
+    return lambda s: int("".join(digits(format(s, spec) + "0")), 2)
 
 
 def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
@@ -371,9 +384,11 @@ def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[
 def _split(beats: Sequence[AltSet], cell: AltSet, splitter: AltSet) -> list[tuple[int, AltSet]]:
     """Parts of ``cell`` by each member's out-degree into ``splitter``, in key order."""
     parts: dict[int, AltSet] = {}
-    for v in iter_members(cell):
-        key = (beats[v] & splitter).bit_count()
-        parts[key] = parts.get(key, 0) | (1 << v)
+    while cell:
+        low = cell & -cell
+        key = (beats[low.bit_length() - 1] & splitter).bit_count()
+        parts[key] = parts.get(key, 0) | low
+        cell ^= low
     return sorted(parts.items())
 
 

@@ -30,7 +30,7 @@ automorphisms).
 
 import time
 
-from .core import AltSet, DeadlineExceeded, Tournament, _map_set, _match, full_set, iter_members
+from .core import AltSet, DeadlineExceeded, Tournament, _mapper, _match, full_set, iter_members
 
 BRUTEFORCE_MAX_ORDER = 12
 # Smallest regular top cycle whose successors are shared across automorphism
@@ -295,7 +295,9 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
     recursion runs for the lowest member r. Then, while ``core._match``
     finds an automorphism taking r to the lowest member not yet reached
     (McKay & Piperno 2014), the known successors are closed under every
-    automorphism found and each mapped one is stored in the memo. The first
+    automorphism found and each mapped one is stored in the memo. Each
+    automorphism found is kept beside one ``core._mapper`` getter, so
+    each successor is mapped in one call. The first
     member shown to lie outside r's orbit ends the step. An automorphism of
     "is beaten by" is one of the tournament, so the search reads ``dom_of``;
     it checks ``deadline`` too.
@@ -315,14 +317,14 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
         g = _match(dom_of, dom_of, [1 << r, rest], [1 << v, top ^ (1 << v)], deadline)
         if g is None:
             return
-        automorphisms.append(g)
+        automorphisms.append((g, _mapper(g, top, len(dom_of))))
         todo = list(succ)
         while todo:
             u = todo.pop()
-            for h in automorphisms:
+            for h, image in automorphisms:
                 w = h[u]
                 if w not in succ:
-                    succ[w] = table[dom_of[w] & top] = _map_set(h, succ[u])
+                    succ[w] = table[dom_of[w] & top] = image(succ[u])
                     todo.append(w)
 
 

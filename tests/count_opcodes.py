@@ -52,7 +52,13 @@ and ``serialize``, cut ``io`` opcodes by 93% and the benchmark's median
 and its transpose in a few big-integer steps, with no Python step per row,
 then cut ``io`` opcodes by another 51%, from 225,649 to 111,208, though
 ``parse`` executes more opcodes to check a row's characters in less time.
-Time such a change on the benchmark as well.
+Mapping each successor of the TEQ orbit step through one digit getter per
+automorphism, in place of a Python step per member, and walking a cell's
+bits in ``_split`` itself, cut ``regular`` opcodes by 16.3%, from 3,302,263
+to 2,763,534, but the benchmark's median ``regular`` ``op_p90_ms`` by 7.7%
+(22 alternating 20 s pairs on a 2-CPU host): the getter's string work runs
+in C, uncounted, on every mapped set. Time such a change on the benchmark
+as well.
 """
 
 import argparse

@@ -10,6 +10,7 @@ from teqtools.core import (
     FormatError,
     Tournament,
     _lanes,
+    _mapper,
     _preserves,
     _refine,
     altset,
@@ -484,6 +485,44 @@ class TestPreserves:
         assert got == preserves_bit_by_bit(a.beats, b.beats, cells_a, cells_b, mapping)
         if not broken:
             assert got
+
+
+def image_by_definition(mapping, s):
+    """Reference for ``_mapper``: the image of s, member by member."""
+    return sum(1 << mapping[j] for j in members(s))
+
+
+class TestMapper:
+    """The getter that maps a set at once against the image by its definition."""
+
+    permutations = st.integers(1, 64).flatmap(lambda n: st.permutations(range(n)))
+    words = st.integers(0, 2**64 - 1)
+
+    @given(perm=permutations, bits=words)
+    @example(perm=[0], bits=1)
+    @example(perm=[(3 * v + 1) % 64 for v in range(64)], bits=2**64 - 2)
+    @settings(max_examples=200, deadline=None)
+    def test_permutation(self, perm, bits):
+        everyone = full_set(len(perm))
+        image = _mapper(perm, everyone, len(perm))
+        assert image(bits & everyone) == image_by_definition(perm, bits & everyone)
+        assert image(0) == 0
+        assert image(everyone) == everyone
+
+    @given(images=permutations, domain_bits=words, dropped=st.integers(0, 63), bits=words)
+    @settings(max_examples=200, deadline=None)
+    def test_partial_mapping(self, images, domain_bits, dropped, bits):
+        # shaped like _match's output: the domain is a strict subset, each
+        # member has its own image, and every other entry is 0
+        order = len(images)
+        domain = domain_bits & full_set(order) & ~(1 << dropped % order)
+        mapping = [0] * order
+        for v, w in zip(members(domain), images):
+            mapping[v] = w
+        image = _mapper(mapping, domain, order)
+        assert image(bits & domain) == image_by_definition(mapping, bits & domain)
+        assert image(0) == 0
+        assert image(domain) == image_by_definition(mapping, domain)
 
 
 def documented_beats(order, seed):

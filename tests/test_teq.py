@@ -762,12 +762,16 @@ class TestOrbitSharing:
         assert calls.count(None) == 1
 
     @pytest.mark.parametrize("t", [relabelled_paley(p) for p in (19, 23, 31, 43)]
-                             + [z3_regular(r, (0, 7, 14)) for r in ((0,), (0, 1, 3), (2, 5))],
-                             ids=["paley19", "paley23", "paley31", "paley43", "z3-0", "z3-013", "z3-25"])
+                             + [z3_regular(r, (0, 7, 14)) for r in ((0,), (0, 1, 3), (2, 5))]
+                             + [relabel(with_dominated_tail(paley_tournament(43), 5), shuffled(48, 48))],
+                             ids=["paley19", "paley23", "paley31", "paley43", "z3-0", "z3-013", "z3-25",
+                                  "paley43-tail5"])
     def test_sharing_only_seeds_the_memo(self, monkeypatch, t):
         # with the orbit step a no-op every successor comes from its own
         # recursion, so the mapped ones are checked against it, dominator sets
-        # far beyond the oracle's reach included (21 members in Paley 43)
+        # far beyond the oracle's reach included (21 members in Paley 43). With
+        # a dominated tail the top cycle is 43 of 48 members, so the orbit step
+        # maps sets of a strict subset and the positions outside it are padded
         shared = TeqCache(t)
         sets = minimal_retentive_sets(t, shared)
         monkeypatch.setattr(teq_module, "_share_orbit", lambda dom_of, table, top, deadline: None)
