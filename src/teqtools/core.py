@@ -215,83 +215,86 @@ def find_isomorphism(a: Tournament, b: Tournament) -> tuple[int, ...] | None:
     """Return an isomorphism from a to b (``mapping[i]`` is the image of i), or None.
 
     Individualisation-refinement, the nauty/Traces scheme (McKay & Piperno,
-    "Practical graph isomorphism II", 2014); see ``_match``. The result is
-    *an* isomorphism, not a particular one: which is found depends on the
-    search order. It is returned only after ``is_isomorphism`` accepts it;
-    None means no isomorphism exists.
+    "Practical graph isomorphism II", 2014), on the disjoint union of a and
+    b, whose rows are built here once; see ``_match``. The result is *an*
+    isomorphism, not a particular one: which is found depends on the search
+    order. It is returned only after ``is_isomorphism`` accepts it; None
+    means no isomorphism exists.
     """
-    if a.order != b.order:
+    n = a.order
+    if n != b.order:
         return None
-    everyone = full_set(a.order)
-    mapping = _match(a.beats, b.beats, [everyone], [everyone])
+    mapping = _match((*a.beats, *(row << n for row in b.beats)), n, [full_set(2 * n)])
     return None if mapping is None or not is_isomorphism(a, b, mapping) else tuple(mapping)
 
 
-def _match(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-           cells_b: list[AltSet], deadline: float | None = None) -> list[int] | None:
-    """A dominance-preserving bijection mapping cells_a[k] onto cells_b[k] for every k, or None.
+def _match(rows: Sequence[AltSet], n: int, cells: list[AltSet],
+           deadline: float | None = None) -> list[int] | None:
+    """A dominance-preserving bijection mapping the low half of each cell onto its high half, or None.
 
-    Both sides carry an ordered partition, cell k of a standing for cell k of
-    b; only the union of the cells is matched, and ``mapping[v]`` is the image
-    of v for v in that union. The rows may be those of either relation, as
-    long as both sides use the same one. ``_refine`` splits the cells of both
-    sides in lockstep until the partition is equitable, and the two sides must
-    split alike. While a cell has several members, the lowest member of a's
-    first smallest such cell is paired with each member of b's matching cell
-    in turn, and the search recurses. A discrete partition is accepted only if
-    the bijection it defines preserves dominance on the union. ``deadline`` is
-    a ``time.monotonic()`` cutoff checked once per node of the search; past it
-    ``DeadlineExceeded`` is raised.
+    The search runs on the disjoint union of two relations a and b on
+    0..n-1: ``rows`` holds a's rows, then b's rows shifted up by n, so the
+    low n bits of a set are a's part and the next n bits are b's part. The
+    ordered partition ``cells`` pairs the two parts of each cell; only the
+    union of the cells is matched, and ``mapping[v]`` is the image of v for
+    each v in a's part of it. The rows may be those of either relation, as
+    long as both parts use the same one. ``_refine`` splits the cells until
+    the partition is equitable, and a split stands only if every part has as
+    many members in a's part as in b's. While a cell has several members on
+    each side, the lowest low member of the first smallest such cell is
+    paired with each of its high members in turn, and the search recurses.
+    At a discrete partition each cell's low member maps to its high member,
+    and the bijection is accepted only if it preserves dominance on the
+    union. ``deadline`` is a ``time.monotonic()`` cutoff checked once per
+    node of the search; past it ``DeadlineExceeded`` is raised.
     """
-    refined = _refine(beats_a, beats_b, cells_a, cells_b)
-    if refined is None:
+    cells = _refine(rows, n, cells)
+    if cells is None:
         return None
     if deadline is not None and time.monotonic() >= deadline:
         raise DeadlineExceeded
-    cells_a, cells_b = refined
-    sizes = [c.bit_count() for c in cells_a]
+    low_half = (1 << n) - 1
+    sizes = [(c & low_half).bit_count() for c in cells]
     if max(sizes) == 1:
-        mapping = [0] * len(beats_a)
-        for ca, cb in zip(cells_a, cells_b):
-            mapping[ca.bit_length() - 1] = cb.bit_length() - 1
-        return mapping if _preserves(beats_a, beats_b, cells_a, cells_b, mapping) else None
+        mapping = [0] * n
+        for c in cells:
+            mapping[(c & -c).bit_length() - 1] = c.bit_length() - 1 - n
+        return mapping if _preserves(rows, n, cells, mapping) else None
     k = sizes.index(min(s for s in sizes if s > 1))
-    cell_a, cell_b = cells_a[k], cells_b[k]
-    low = cell_a & -cell_a
-    fixed_a = cells_a[:k] + [low, cell_a ^ low] + cells_a[k + 1:]
-    for w in iter_members(cell_b):
-        pick = 1 << w
-        found = _match(beats_a, beats_b, fixed_a, cells_b[:k] + [pick, cell_b ^ pick] + cells_b[k + 1:],
-                       deadline)
+    cell = cells[k]
+    low = cell & -cell
+    for w in iter_members(cell & ~low_half):
+        pick = low | 1 << w
+        found = _match(rows, n, cells[:k] + [pick, cell ^ pick] + cells[k + 1:], deadline)
         if found is not None:
             return found
     return None
 
 
-def _preserves(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-               cells_b: list[AltSet], mapping: list[int]) -> bool:
+def _preserves(rows: Sequence[AltSet], n: int, cells: list[AltSet], mapping: list[int]) -> bool:
     # a bijection of tournaments preserves dominance iff it maps every
-    # out-neighbourhood onto the image's out-neighbourhood. All rows are
-    # mapped at once: lane v (bits 64v..64v+63) of rows_a holds v's row in a,
-    # the same lane of rows_b the row of v's image in b cut to the union, and
-    # bit 0 of every used lane is set in lanes. Shifting rows_a right by j and
-    # masking with lanes leaves bit j of every row at the foot of its lane
-    # (bits of the lane above land at 64 - j or higher and are masked off);
-    # shifting that left by mapping[j] moves it to j's image, inside the same
-    # lane since every index is below 64. Only the bits j of the union are
-    # read, so a's rows need no cut. About 2n big-integer steps replace n²/2
-    # bit steps.
-    union_b = sum(cells_b)  # cells are disjoint
+    # out-neighbourhood onto the image's out-neighbourhood. Each cell is a
+    # low member v and its high member n + mapping[v]. All rows are mapped at
+    # once: lane v (bits 64v..64v+63) of rows_a holds v's row, the same lane
+    # of rows_b the row of v's image cut to the union and shifted down by n,
+    # and bit 0 of every used lane is set in lanes. Shifting rows_a right by j
+    # and masking with lanes leaves bit j of every row at the foot of its
+    # lane (bits of the lane above land at 64 - j or higher and are masked
+    # off); shifting that left by mapping[j] moves it to j's image, inside the
+    # same lane since every index is below 64. Only the low members j of the
+    # cells are read, so a's rows need no cut. About 2n big-integer steps
+    # replace n²/2 bit steps.
+    union = sum(cells)  # cells are disjoint
     rows_a = rows_b = lanes = 0
-    for ca in cells_a:
-        v = ca.bit_length() - 1
+    for c in cells:
+        v = (c & -c).bit_length() - 1
         lane = v << 6
-        rows_a |= beats_a[v] << lane
-        rows_b |= (beats_b[mapping[v]] & union_b) << lane
+        rows_a |= rows[v] << lane
+        rows_b |= (rows[c.bit_length() - 1] & union) >> n << lane
         lanes |= 1 << lane
     image = 0
-    for ca in cells_a:
-        j = ca.bit_length() - 1
+    for c in cells:
+        j = (c & -c).bit_length() - 1
         image |= (rows_a >> j & lanes) << mapping[j]
     return image == rows_b
 
@@ -317,68 +320,71 @@ def _mapper(mapping: Sequence[int], domain: AltSet, order: int) -> Callable[[Alt
     return lambda s: int("".join(digits(format(s, spec) + "0")), 2)
 
 
-def _refine(beats_a: Sequence[AltSet], beats_b: Sequence[AltSet], cells_a: list[AltSet],
-            cells_b: list[AltSet]) -> tuple[list[AltSet], list[AltSet]] | None:
-    """The coarsest equitable refinement of both partitions, split in lockstep, or None.
+def _refine(rows: Sequence[AltSet], n: int, cells: list[AltSet]) -> list[AltSet] | None:
+    """The coarsest equitable refinement of the union cells, or None if the two parts split differently.
 
-    The cells are walked in list order, each used once as a splitter, and
-    the list grows as cells split, so the walk ends when it reaches the end
-    of the list or every cell is a singleton. A splitter S splits each cell
-    of several members by each member's out-degree into S, parts in
+    The rows and cells are those of ``_match``. The cells are walked in
+    list order, each used once as a splitter, and the list grows as cells
+    split, so the walk ends when it reaches the end of the list or every
+    cell holds one low and one high member. A splitter S splits each cell
+    of several members a side by each member's out-degree into S, parts in
     ascending key: the first part keeps the cell's index, the others are
     appended and so get their own turn. A kept part is not used again even
     when its cell has already been used (Hopcroft 1971): a member's
     out-degree into it is the out-degree into the old cell minus those into
-    the appended parts. A singleton splitter {u} splits a cell c into
-    ``c & beats[u]`` (key 0) and the rest (key 1), so it costs two ANDs and a
-    size comparison per cell. Singleton cells never split again, so only the
-    cells of several members are visited. The partition is then equitable:
-    every member of a cell has the same out-degree into every cell.
+    the appended parts. A low member's row meets only a's part of S and a
+    high member's only b's, so each half splits by its own relation in the
+    one pass. A splitter {u, w} of one member a side splits a cell c into
+    ``c & (rows[u] | rows[w])`` (key 0) and the rest (key 1), so it costs an
+    AND and a comparison per cell, and a size check when c splits. Cells of
+    one member a side never split again, so only the others are visited.
+    The partition is then equitable: every member of a cell has the same
+    out-degree into the same half of every cell.
 
-    Cell k of b splits exactly as cell k of a does (same keys, same part
-    sizes) or no isomorphism maps cells_a[k] onto cells_b[k] for all k, and
-    the result is None. The cells are those of a round-by-round refinement
-    against every cell, in another order.
+    A split stands only if every part has as many low members as high
+    ones: then a's part of the cell splits exactly as b's does (same keys,
+    same part sizes). Otherwise no isomorphism maps a's part of each cell
+    onto b's, and the result is None. The cells are those of a
+    round-by-round refinement of each half against every cell, in another
+    order.
     """
-    cells_a, cells_b = list(cells_a), list(cells_b)
-    wide = [k for k, c in enumerate(cells_a) if c & (c - 1)]  # cells of several members
+    cells = list(cells)
+    low_half = (1 << n) - 1
+    wide = [k for k, c in enumerate(cells) if (c & low_half).bit_count() > 1]
     s = 0
-    while s < len(cells_a) and wide:
-        splitter_a, splitter_b = cells_a[s], cells_b[s]
+    while s < len(cells) and wide:
+        splitter = cells[s]
         s += 1
-        singleton = not splitter_a & (splitter_a - 1)
+        singleton = (splitter & low_half).bit_count() == 1
         if singleton:
-            row_a = beats_a[splitter_a.bit_length() - 1]
-            row_b = beats_b[splitter_b.bit_length() - 1]
+            row = rows[(splitter & -splitter).bit_length() - 1] | rows[splitter.bit_length() - 1]
         still_wide = []
         for k in wide:
-            ca, cb = cells_a[k], cells_b[k]
+            c = cells[k]
             if singleton:
-                lost_a, lost_b = ca & row_a, cb & row_b
-                if lost_a.bit_count() != lost_b.bit_count():
-                    return None
-                if not lost_a or lost_a == ca:
+                lost = c & row
+                if not lost or lost == c:
                     still_wide.append(k)
                     continue
-                parts_a, parts_b = [lost_a, ca ^ lost_a], [lost_b, cb ^ lost_b]
+                if (lost & low_half).bit_count() << 1 != lost.bit_count():
+                    return None
+                parts = [lost, c ^ lost]
             else:
-                keyed_a, keyed_b = _split(beats_a, ca, splitter_a), _split(beats_b, cb, splitter_b)
-                if [(key, p.bit_count()) for key, p in keyed_a] != [(key, p.bit_count()) for key, p in keyed_b]:
-                    return None
-                if len(keyed_a) == 1:
+                parts = [p for _, p in _split(rows, c, splitter)]
+                if len(parts) == 1:
                     still_wide.append(k)
                     continue
-                parts_a, parts_b = [p for _, p in keyed_a], [p for _, p in keyed_b]
-            cells_a[k], cells_b[k] = parts_a[0], parts_b[0]
-            if parts_a[0] & (parts_a[0] - 1):
+                if any((p & low_half).bit_count() << 1 != p.bit_count() for p in parts):
+                    return None
+            cells[k] = parts[0]
+            if (parts[0] & low_half).bit_count() > 1:
                 still_wide.append(k)
-            for part_a, part_b in zip(parts_a[1:], parts_b[1:]):
-                if part_a & (part_a - 1):
-                    still_wide.append(len(cells_a))
-                cells_a.append(part_a)
-                cells_b.append(part_b)
+            for part in parts[1:]:
+                if (part & low_half).bit_count() > 1:
+                    still_wide.append(len(cells))
+                cells.append(part)
         wide = still_wide
-    return cells_a, cells_b
+    return cells
 
 
 def _split(beats: Sequence[AltSet], cell: AltSet, splitter: AltSet) -> list[tuple[int, AltSet]]:

@@ -297,15 +297,19 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
     (McKay & Piperno 2014), the known successors are closed under every
     automorphism found and each mapped one is stored in the memo. Each
     automorphism found is kept beside one ``core._mapper`` getter, so
-    each successor is mapped in one call. The first
-    member shown to lie outside r's orbit ends the step. An automorphism of
-    "is beaten by" is one of the tournament, so the search reads ``dom_of``;
-    it checks ``deadline`` too.
+    each successor is mapped in one call. The first member shown to lie
+    outside r's orbit ends the step. An automorphism of "is beaten by" is
+    one of the tournament, so the search reads ``dom_of``: the rows of the
+    disjoint union it searches, ``dom_of`` and a copy shifted up by the
+    order, are built once here and serve every member tried. It checks
+    ``deadline`` too.
 
     Every entry seeded is TEQ of its own key, for any ``top``: the
     automorphisms are those of the tournament on ``top``, on which TEQ is
     neutral. So the gate in ``_minimal_sets`` decides cost, never answers.
     """
+    n = len(dom_of)
+    rows = (*dom_of, *(row << n for row in dom_of))
     r = (top & -top).bit_length() - 1
     rest = top ^ (1 << r)
     d = dom_of[r] & top
@@ -314,10 +318,10 @@ def _share_orbit(dom_of: tuple[AltSet, ...], table: dict[AltSet, AltSet], top: A
     for v in iter_members(rest):
         if v in succ:
             continue
-        g = _match(dom_of, dom_of, [1 << r, rest], [1 << v, top ^ (1 << v)], deadline)
+        g = _match(rows, n, [1 << r | 1 << v + n, rest | (top ^ 1 << v) << n], deadline)
         if g is None:
             return
-        automorphisms.append((g, _mapper(g, top, len(dom_of))))
+        automorphisms.append((g, _mapper(g, top, n)))
         todo = list(succ)
         while todo:
             u = todo.pop()

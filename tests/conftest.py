@@ -77,6 +77,12 @@ def relabel(t, perm):
     return Tournament(beats)
 
 
+def union_rows(beats_a, beats_b):
+    """The rows of the disjoint union ``core._match`` searches: a's rows, then b's shifted up by the order."""
+    n = len(beats_a)
+    return (*beats_a, *(row << n for row in beats_b))
+
+
 def flip_edge(t, a, b):
     """Copy of t with the orientation of pair {a, b} reversed."""
     beats = list(t.beats)

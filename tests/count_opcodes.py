@@ -58,7 +58,7 @@ bits in ``_split`` itself, cut ``regular`` opcodes by 16.3%, from 3,302,263
 to 2,763,534, but the benchmark's median ``regular`` ``op_p90_ms`` by 7.7%
 (22 alternating 20 s pairs on a 2-CPU host): the getter's string work runs
 in C, uncounted, on every mapped set. Time such a change on the benchmark
-as well.
+as well, and in one process, input by input, with ``tests/time_ab.py``.
 """
 
 import argparse
@@ -140,13 +140,17 @@ def counted(fn, inputs):
     return counts, results
 
 
+def digest(results):
+    """The first 16 hex digits of the SHA-256 of ``results`` written as JSON with sorted keys."""
+    return hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()[:16]
+
+
 def summary(counts, results):
     """Total opcodes, input count, result digest and the busiest functions of one group."""
     by_function = collections.Counter()
     for code, n in counts.items():
         by_function[getattr(code, "co_qualname", code.co_name)] += n
-    digest = hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest()[:16]
-    return {"opcodes": sum(by_function.values()), "inputs": len(results), "results": digest,
+    return {"opcodes": sum(by_function.values()), "inputs": len(results), "results": digest(results),
             "top": [{"function": f, "opcodes": n} for f, n in by_function.most_common(TOP)]}
 
 

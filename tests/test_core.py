@@ -34,6 +34,7 @@ from conftest import (
     random_connection_set,
     relabel,
     transitive_tournament,
+    union_rows,
 )
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -438,12 +439,26 @@ class TestRefine:
         cells_a = [1 << v for v in picked] + [full_set(order) ^ altset(picked)]
         cells_a = [c for c in cells_a if c]
         image = [altset(perm[v] for v in members(c)) for c in cells_a]
-        got = _refine(a.beats, b.beats, cells_a, image)
+        got = _refine(union_rows(a.beats, b.beats), order, [ca | cb << order for ca, cb in zip(cells_a, image)])
         expected = refine_by_rounds(a.beats, b.beats, cells_a, image)
         assert got is not None and expected is not None
-        got_a, got_b = got
+        got_a, got_b = [c & full_set(order) for c in got], [c >> order for c in got]
         assert sorted(got_a) == sorted(expected[0])
         assert got_b == [altset(perm[v] for v in members(c)) for c in got_a]
+
+    @pytest.mark.parametrize("a, b, cells_a, cells_b", [
+        (transitive_tournament(5), transitive_tournament(5), [0b00001, 0b11110], [0b00010, 0b11101]),
+        (random_tournament(7, 252), reverse_a_three_cycle(random_tournament(7, 252)),
+         [full_set(7)], [full_set(7)]),
+    ], ids=["scores-differ", "three-cycle-reversed"])
+    def test_none_when_the_sides_split_differently(self, a, b, cells_a, cells_b):
+        # 0 of a beats four members and 1 of b three, so the first singleton
+        # split differs. A reversed 3-cycle keeps every score, and this pair
+        # first differs in a split into four parts whose first part matches.
+        n = a.order
+        cells = [ca | cb << n for ca, cb in zip(cells_a, cells_b)]
+        assert refine_by_rounds(a.beats, b.beats, cells_a, cells_b) is None
+        assert _refine(union_rows(a.beats, b.beats), n, cells) is None
 
 
 def preserves_bit_by_bit(beats_a, beats_b, cells_a, cells_b, mapping):
@@ -481,7 +496,8 @@ class TestPreserves:
         rng.shuffle(union_members)
         cells_a = [1 << v for v in union_members]
         cells_b = [1 << mapping[v] for v in union_members]
-        got = _preserves(a.beats, b.beats, cells_a, cells_b, mapping)
+        cells = [ca | cb << order for ca, cb in zip(cells_a, cells_b)]
+        got = _preserves(union_rows(a.beats, b.beats), order, cells, mapping)
         assert got == preserves_bit_by_bit(a.beats, b.beats, cells_a, cells_b, mapping)
         if not broken:
             assert got

@@ -49,6 +49,7 @@ from conftest import (
     random_regular,
     relabel,
     transitive_tournament,
+    union_rows,
 )
 
 seeds = st.integers(min_value=0, max_value=2**64 - 1)
@@ -967,10 +968,10 @@ class TestDeadline:
 
     def test_expired_deadline_raises_in_match(self):
         t = relabelled_paley(31)
-        everyone = full_set(31)
-        assert core_module._match(t.beats, t.beats, [everyone], [everyone]) is not None
+        rows, cells = union_rows(t.beats, t.beats), [full_set(62)]
+        assert core_module._match(rows, 31, cells) is not None
         with pytest.raises(DeadlineExceeded):
-            core_module._match(t.beats, t.beats, [everyone], [everyone], time.monotonic() - 1)
+            core_module._match(rows, 31, cells, time.monotonic() - 1)
 
     def test_one_class_everywhere(self):
         assert DeadlineExceeded is core_module.DeadlineExceeded is teqtools.DeadlineExceeded
