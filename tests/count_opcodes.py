@@ -8,13 +8,15 @@ compared by running this script at each:
     PYTHONPATH=src python tests/count_opcodes.py            # full input set
     PYTHONPATH=src python tests/count_opcodes.py --small    # about a second
 
-Three groups of inputs, built with fixed seeds:
+Three groups of inputs, built with fixed seeds and listed in one table,
+``groups``, which ``tests/time_ab.py`` times as well:
 
 * ``search``: ``search_random`` over the benchmark's seven (order, mode)
   configurations, uniform orders 13, 17, 21, 23 and structured 16, 20, 24;
 * ``regular``: ``minimal_retentive_sets`` on relabelled circulant
   tournaments, Paley 31, 43 and 59 plus seeded connection sets at odd
-  orders 31 to 45;
+  orders 31 to 45, and on the order-24 instance, whose two minimal sets
+  put a multi-set answer under the digest;
 * ``io``: ``Tournament(rows)``, ``serialize`` and ``parse`` in turn on the
   rows of the order-24 instance and of seeded random tournaments at orders
   8, 24, 31, 45, 59 and 64.
@@ -71,8 +73,6 @@ import sys
 from pathlib import Path
 
 import teqtools
-from teqtools import (SearchConfig, Tournament, build_counterexample, minimal_retentive_sets, parse,
-                      random_tournament, search_random, serialize)
 
 from conftest import circulant, quadratic_residues, relabel
 
@@ -85,35 +85,41 @@ IO_ORDERS = (8, 24, 31, 45, 59, 64)
 TOP = 12  # functions listed per group
 
 
-def search_inputs(small):
+def groups(package, small):
+    """Yield each group of the small or the full input set as (name, call, inputs built by ``package``).
+
+    The one table of groups: the meter counts each call on ``package =
+    teqtools``, and ``tests/time_ab.py`` times it on two loaded copies. A
+    group's inputs are built only when the caller asks for that group, so
+    the meter builds them after counting the groups before it, and no build
+    fills a cache (``_lanes``, ``_packing``) ahead of an earlier group's
+    counted calls.
+    """
     trials, seeds = (2, range(1)) if small else (20, range(3))
-    return [SearchConfig(order=order, trials=trials, seed=seed, mode=mode)
-            for seed in seeds for order, mode in SEARCH_CONFIGS]
+    yield "search", lambda c: package.search_random(c).to_dict(include_timing=False), [
+        package.SearchConfig(order=order, trials=trials, seed=seed, mode=mode)
+        for seed in seeds for order, mode in SEARCH_CONFIGS]
 
-
-def regular_inputs(small):
     rng = random.Random(9)
     bases = [(p, quadratic_residues(p)) for p in PALEY_ORDERS[:1 if small else 3]]
     for n in CIRCULANT_ORDERS[:1 if small else None]:
         for _ in range(1 if small else 4):
             bases.append((n, [k if rng.getrandbits(1) else n - k for k in range(1, n // 2 + 1)]))
-    tournaments = []
+    regular = []
     for n, connection in bases:
         perm = list(range(n))
         rng.shuffle(perm)
-        tournaments.append(relabel(circulant(n, connection), perm))
-    return tournaments
+        regular.append(package.Tournament(relabel(circulant(n, connection), perm).beats))
+    instance = package.build_counterexample().tournament
+    yield "regular", package.minimal_retentive_sets, regular + [instance]
 
+    def io_round_trip(rows):
+        """Validate the rows, write them as text and read the text back."""
+        text = package.serialize(package.Tournament(rows))
+        return text, package.parse(text).dom_of
 
-def io_inputs(small):
-    return [build_counterexample().tournament.beats] + [
-        random_tournament(n, seed).beats for seed in range(1 if small else 5) for n in IO_ORDERS]
-
-
-def io_round_trip(rows):
-    """Validate the rows, write them as text and read the text back."""
-    text = serialize(Tournament(rows))
-    return text, parse(text).dom_of
+    yield "io", io_round_trip, [instance.beats] + [
+        package.random_tournament(n, seed).beats for seed in range(1 if small else 5) for n in IO_ORDERS]
 
 
 def counted(fn, inputs):
@@ -162,13 +168,8 @@ def print_text(name, group):
 
 
 def measure(small):
-    """The ``search``, ``regular`` and ``io`` groups of the small or the full input set."""
-    return {
-        "search": summary(*counted(lambda c: search_random(c).to_dict(include_timing=False),
-                                   search_inputs(small))),
-        "regular": summary(*counted(minimal_retentive_sets, regular_inputs(small))),
-        "io": summary(*counted(io_round_trip, io_inputs(small))),
-    }
+    """The summary of each group of the small or the full input set, in the order of ``groups``."""
+    return {name: summary(*counted(call, inputs)) for name, call, inputs in groups(teqtools, small)}
 
 
 def main(argv=None):

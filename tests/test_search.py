@@ -8,6 +8,7 @@ from teqtools.core import Tournament, derive_seed, full_set, parse, random_tourn
 from teqtools.search import SearchConfig, compose_structured, search_random
 from teqtools.teq import minimal_retentive_sets
 
+import count_opcodes
 from conftest import transitive_tournament
 
 
@@ -104,15 +105,15 @@ class TestSearchRandom:
 
     def test_benchmark_draws_are_pinned(self):
         # every tournament the benchmark's seven search configurations draw at
-        # seeds 0..2, hashed; the benchmark redraws its trials itself, so only
-        # this pin catches a change in what a seed draws
+        # seeds 0..2 (the meter's full search group), hashed configuration by
+        # configuration, each seed in turn; the benchmark redraws its trials
+        # itself, so only this pin catches a change in what a seed draws
+        _, _, configs = next(count_opcodes.groups(teqtools, small=False))
         digest = hashlib.sha256()
-        for order, mode in [(13, "uniform"), (17, "uniform"), (21, "uniform"), (23, "uniform"),
-                            (16, "structured"), (20, "structured"), (24, "structured")]:
-            for seed in range(3):
-                for trial in range(20):
-                    t = teqtools.search._SOURCES[mode](order, derive_seed(seed, trial))
-                    digest.update(serialize(t).encode())
+        for c in sorted(configs, key=lambda c: count_opcodes.SEARCH_CONFIGS.index((c.order, c.mode))):
+            for trial in range(c.trials):
+                t = teqtools.search._SOURCES[c.mode](c.order, derive_seed(c.seed, trial))
+                digest.update(serialize(t).encode())
         assert digest.hexdigest() == "dfbc98e144d1b6c41d2289a062282008f3e9fdb93356da81b36a1d33d7492e25"
 
     @pytest.mark.parametrize("mode, order", [("uniform", 9), ("structured", 16)])

@@ -13,16 +13,19 @@ or holds a ``teqtools`` package tree. The copy at REV and the working
 tree's ``src/teqtools`` load as two packages under their own names, which
 works because every import inside the package is relative.
 
-The inputs are the three groups of ``tests/count_opcodes.py`` (``search``,
-``regular``, ``io``), taken as plain rows and config fields and built once
-per copy. After one untimed warm-up round, each round times every input
-on both copies in turn, alternating which copy runs first from one input
-to the next and from one round to the next. A ratio is the working tree's
-time over REV's, so below 1 the working tree is faster. Per group the
-script prints the median per-input ratio (each input's times summed over
-the rounds) with its quartiles, the ratio of the group's total times, and
-the range of the per-round geometric means of the per-input ratios.
-``--json`` prints the same as one JSON object.
+The inputs and calls are the meter's one table of groups,
+``count_opcodes.groups`` (``search``, ``regular``, ``io``; ``regular``
+includes the order-24 instance and its two minimal sets), built once per
+copy by that copy. After one untimed warm-up round, each round times every
+input on both copies in turn, alternating which copy runs first from one
+input to the next and from one round to the next. A ratio is the working
+tree's time over REV's, so below 1 the working tree is faster. Each input
+counts by its median time over the rounds, so one slow call of a
+sub-millisecond input does not swing a group. Per group the script prints
+the median per-input ratio with its quartiles, the ratio of the summed
+per-input medians (the total), and the range of the per-round geometric
+means of the per-input ratios. ``--json`` prints the same as one JSON
+object.
 
 Each input's result is hashed with the meter's ``digest``, and the script
 exits 1 when an input's digest differs between the copies, so a speed-up
@@ -51,7 +54,6 @@ from pathlib import Path
 import count_opcodes
 
 REPO = Path(__file__).resolve().parents[1]
-GROUPS = ("search", "regular", "io")
 
 
 def load(name, tree):
@@ -74,36 +76,13 @@ def package_dir(rev, tmp):
     return Path(tmp) / "src" / "teqtools"
 
 
-def plain_inputs(small):
-    """Each group's inputs as data that any copy can build from: config fields or rows."""
-    return {
-        "search": [config._asdict() for config in count_opcodes.search_inputs(small)],
-        "regular": [t.beats for t in count_opcodes.regular_inputs(small)],
-        "io": count_opcodes.io_inputs(small),
-    }
-
-
-def runs(package, plain):
-    """Per group, (call, inputs built by ``package``): each call as the meter makes it."""
-    def io_round_trip(rows):
-        text = package.serialize(package.Tournament(rows))
-        return text, package.parse(text).dom_of
-
-    return {
-        "search": (lambda c: package.search_random(c).to_dict(include_timing=False),
-                   [package.SearchConfig(**fields) for fields in plain["search"]]),
-        "regular": (package.minimal_retentive_sets, [package.Tournament(rows) for rows in plain["regular"]]),
-        "io": (io_round_trip, plain["io"]),
-    }
-
-
 def compare(base, change, rounds):
     """Per group, the ratio summary of ``change`` over ``base``, or the first input whose digests differ."""
     summary = {}
-    for group in GROUPS:
-        copies = base[group], change[group]
-        count = len(copies[0][1])
-        times = [([0.0] * count, [0.0] * count) for _ in range(rounds + 1)]  # per round: REV's, the work tree's
+    for (group, *rev), (_, *work) in zip(base, change):
+        copies = rev, work
+        count = len(rev[1])
+        times = [[[] for _ in range(count)] for _ in copies]  # per copy (REV's, the work tree's), per input
         for r in range(rounds + 1):
             for i in range(count):
                 digests = [None, None]
@@ -111,19 +90,21 @@ def compare(base, change, rounds):
                     call, inputs = copies[side]
                     start = time.perf_counter()
                     result = call(inputs[i])
-                    times[r][side][i] = time.perf_counter() - start
+                    elapsed = time.perf_counter() - start
+                    if r:  # round 0 warms up: the first calls fill each copy's caches and grow the shared heap
+                        times[side][i].append(elapsed)
                     digests[side] = count_opcodes.digest(result)
                 if digests[0] != digests[1]:
                     return f"{group} input {i}: result {digests[1]} differs from REV's {digests[0]}"
-        del times[0]  # a warm-up round: the first calls fill each copy's caches and grow the shared heap
-        per_input = [sum(t[1][i] for t in times) / sum(t[0][i] for t in times) for i in range(count)]
-        geomeans = [statistics.geometric_mean(c / b for b, c in zip(*t)) for t in times]
+        medians = [[statistics.median(t) for t in side] for side in times]
+        per_input = [c / b for b, c in zip(*medians)]
+        geomeans = [statistics.geometric_mean(c[r] / b[r] for b, c in zip(*times)) for r in range(rounds)]
         q1, median, q3 = statistics.quantiles(per_input, n=4, method="inclusive")
         summary[group] = {
             "inputs": count,
             "median_ratio": round(median, 4),
             "quartiles": [round(q1, 4), round(q3, 4)],
-            "total_ratio": round(sum(sum(t[1]) for t in times) / sum(sum(t[0]) for t in times), 4),
+            "total_ratio": round(sum(medians[1]) / sum(medians[0]), 4),
             "round_geomeans": [round(min(geomeans), 4), round(max(geomeans), 4)],
         }
     return summary
@@ -138,10 +119,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
-    plain = plain_inputs(args.small)
     with tempfile.TemporaryDirectory() as tmp:
-        base = runs(load("teqtools_rev", package_dir(args.rev, tmp)), plain)
-        change = runs(load("teqtools_work", REPO / "src" / "teqtools"), plain)
+        base = list(count_opcodes.groups(load("teqtools_rev", package_dir(args.rev, tmp)), args.small))
+        change = list(count_opcodes.groups(load("teqtools_work", REPO / "src" / "teqtools"), args.small))
         summary = compare(base, change, args.rounds)
     if isinstance(summary, str):
         print(f"time_ab: {summary}", file=sys.stderr)
