@@ -268,9 +268,12 @@ class TestTeqAgainstOracle:
     def test_exhaustive_small_orders(self):
         for n in range(1, 7):
             for t in all_tournaments(n):
-                bf_sets = bruteforce_minimal_retentive_sets(t)
-                assert minimal_retentive_sets(t) == bf_sets, t.beats
-                assert teq(t) == functools.reduce(operator.or_, bf_sets), t.beats
+                assert teq(t) == teq_bruteforce(t), t.beats
+
+    def test_minimal_sets_match_oracle_exhaustive(self):
+        for n in range(1, 7):
+            for t in all_tournaments(n):
+                assert minimal_retentive_sets(t) == bruteforce_minimal_retentive_sets(t), t.beats
 
     @pytest.mark.parametrize("order", [7, 8, 9, 10])
     def test_seeded_mid_orders(self, order):
